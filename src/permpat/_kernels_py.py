@@ -90,31 +90,31 @@ def count_pattern(
         i = idx[j] + 1
 
 
+def _merge_count(vals: list[int], buf: list[int], lo: int, hi: int) -> int:
+    """Sort vals[lo:hi] in place through buf; return its inversion count."""
+    if hi - lo <= 1:
+        return 0
+    mid = (lo + hi) // 2
+    inv = _merge_count(vals, buf, lo, mid) + _merge_count(vals, buf, mid, hi)
+    i, j, t = lo, mid, lo
+    while i < mid and j < hi:
+        if vals[i] <= vals[j]:
+            buf[t] = vals[i]
+            i += 1
+        else:
+            buf[t] = vals[j]
+            j += 1
+            inv += mid - i
+        t += 1
+    if i < mid:
+        buf[t:hi] = vals[i:mid]
+    else:
+        buf[t:hi] = vals[j:hi]
+    vals[lo:hi] = buf[lo:hi]
+    return inv
+
+
 def count_inversions(values: Sequence[int]) -> int:
     """Number of pairs i < j with values[i] > values[j], by merge counting."""
     vals = list(values)
-    buf = [0] * len(vals)
-
-    def rec(lo: int, hi: int) -> int:
-        if hi - lo <= 1:
-            return 0
-        mid = (lo + hi) // 2
-        inv = rec(lo, mid) + rec(mid, hi)
-        i, j, t = lo, mid, lo
-        while i < mid and j < hi:
-            if vals[i] <= vals[j]:
-                buf[t] = vals[i]
-                i += 1
-            else:
-                buf[t] = vals[j]
-                j += 1
-                inv += mid - i
-            t += 1
-        if i < mid:
-            buf[t:hi] = vals[i:mid]
-        else:
-            buf[t:hi] = vals[j:hi]
-        vals[lo:hi] = buf[lo:hi]
-        return inv
-
-    return rec(0, len(vals))
+    return _merge_count(vals, [0] * len(vals), 0, len(vals))

@@ -134,7 +134,7 @@ def count(pattern: str | None, text: str, mode: str, fmt: str) -> None:
             elif mode == "approx":
                 result = {"estimate": str(matching.approx_count(pi, tau))}
             else:
-                direct = matching.count_left_aligned_direct(pi, tau)
+                direct = matching.count_left_aligned(pi, tau)
                 diff = matching.count_left_aligned_by_difference(pi, tau)
                 result = {
                     "direct": str(direct),

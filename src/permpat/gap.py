@@ -3,7 +3,7 @@
 Given a pattern pi (length k), a text tau (length n) and a rational
 0 < epsilon < 1/2, the reduction sets alpha = ceil(2/epsilon).  Small
 inputs (n below a threshold exponential in alpha/epsilon) are decided
-outright by exact left-aligned counting and replaced by a canonical
+outright by exact left-aligned detection and replaced by a canonical
 trivial instance; large inputs are inflated: the pattern's leftmost
 element becomes an increasing run of length alpha*k and the text's
 leftmost element becomes a layered permutation with alpha*k layers of
@@ -16,7 +16,6 @@ exponents are cleared by raising both sides to the exponent denominator.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
@@ -26,7 +25,6 @@ from permpat.matching import (
     BigCount,
     contains_left_aligned,
     count_copies,
-    count_left_aligned,
     enumerate_embeddings,
 )
 
@@ -34,13 +32,6 @@ DEFAULT_MAX_TEXT_LEN = 10**6
 
 TRIVIAL_YES = (Permutation((1,)), Permutation((1,)))
 TRIVIAL_NO = (Permutation((1, 2)), Permutation((2, 1)))
-
-
-def _max_text_len(override: int | None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("PERMPAT_MAX_TEXT_LEN")
-    return int(env) if env else DEFAULT_MAX_TEXT_LEN
 
 
 @dataclass(frozen=True)
@@ -52,11 +43,27 @@ class GapParams:
     below_threshold: bool
 
 
+def _power_less(a: int, x: int, b: int, y: int) -> bool:
+    """Exact a^x < b^y for positive integers, deciding from bit lengths first.
+
+    A base of bit length L lies in [2^(L-1), 2^L), so a^x lies in
+    [2^(x*(L-1)), 2^(x*L)).  When the two ranges do not overlap they order
+    the powers; only overlapping ranges need the exact powers.
+    """
+    la, lb = a.bit_length(), b.bit_length()
+    if x * la <= y * (lb - 1):
+        return True
+    if y * lb <= x * (la - 1):
+        return False
+    return a**x < b**y
+
+
 def gap_params(epsilon: Fraction, k: int, n: int) -> GapParams:
     """Reduction parameters for a given epsilon, pattern and text length.
 
     alpha = ceil(2/epsilon); the threshold test n < ((alpha+1)*k)^(2*alpha/epsilon)
     is evaluated exactly as n^p < ((alpha+1)*k)^(2*alpha*q) for epsilon = p/q.
+    Bit lengths decide it without the powers for every n below 2^32.
     """
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < Fraction(1, 2)):
@@ -65,7 +72,7 @@ def gap_params(epsilon: Fraction, k: int, n: int) -> GapParams:
         raise ValueError("k and n must be positive")
     alpha = ceil(Fraction(2) / epsilon)
     p, q = epsilon.numerator, epsilon.denominator
-    below = n**p < ((alpha + 1) * k) ** (2 * alpha * q)
+    below = _power_less(n, p, (alpha + 1) * k, 2 * alpha * q)
     return GapParams(epsilon=epsilon, alpha=alpha, k=k, n=n, below_threshold=below)
 
 
@@ -111,8 +118,8 @@ def build_core(
 
     Exposed separately because the threshold test forces the trivial branch
     for every desk-scale text, so only the alpha-parametrized core can be
-    exercised against brute force.  Inflated texts above the safety cap
-    (default 10^6, env PERMPAT_MAX_TEXT_LEN) are rejected.
+    exercised against brute force.  Inflated texts longer than
+    ``max_text_len`` (default 10^6) are rejected.
     """
     k, n = len(pi), len(tau)
     if k < 1 or n < 1:
@@ -120,7 +127,9 @@ def build_core(
     if alpha < 1:
         raise ValueError("alpha must be positive")
     _, n_prime = inflated_lengths(n, k, alpha)
-    if n_prime > _max_text_len(max_text_len):
+    if max_text_len is None:
+        max_text_len = DEFAULT_MAX_TEXT_LEN
+    if n_prime > max_text_len:
         raise ValueError("instance too large")
     one = Permutation((1,))
     pattern_blocks = [Permutation.increasing(alpha * k)] + [one] * (k - 1)
@@ -128,33 +137,15 @@ def build_core(
     return inflate(pi, pattern_blocks), inflate(tau, text_blocks)
 
 
-def build_gap_instance(
+def _inflated_instance(
     pi: Permutation,
     tau: Permutation,
-    epsilon: Fraction,
-    max_text_len: int | None = None,
+    alpha: int,
+    max_text_len: int | None,
+    epsilon: Fraction | None = None,
 ) -> GapInstance:
-    """Full reduction: decide small inputs exactly, inflate large ones."""
-    params = gap_params(epsilon, len(pi), len(tau))
-    if params.below_threshold:
-        if count_left_aligned(pi, tau) > 0:
-            pattern, text = TRIVIAL_YES
-            branch = "trivial_yes"
-        else:
-            pattern, text = TRIVIAL_NO
-            branch = "trivial_no"
-        return GapInstance(
-            pattern=pattern,
-            text=text,
-            k_prime=len(pattern),
-            n_prime=len(text),
-            branch=branch,
-            initial_block_pattern_len=0,
-            initial_block_text_len=0,
-            epsilon=params.epsilon,
-            alpha=params.alpha,
-        )
-    alpha, k, n = params.alpha, params.k, params.n
+    """The inflation of (pi, tau) for an explicit alpha, as a GapInstance."""
+    k, n = len(pi), len(tau)
     pattern, text = build_core(pi, tau, alpha, max_text_len)
     k_prime, n_prime = inflated_lengths(n, k, alpha)
     return GapInstance(
@@ -165,9 +156,45 @@ def build_gap_instance(
         branch="inflated",
         initial_block_pattern_len=alpha * k,
         initial_block_text_len=alpha * k * n**alpha,
-        epsilon=params.epsilon,
+        epsilon=epsilon,
         alpha=alpha,
     )
+
+
+def build_gap_instance(
+    pi: Permutation,
+    tau: Permutation,
+    epsilon: Fraction,
+    max_text_len: int | None = None,
+) -> GapInstance:
+    """Full reduction: decide small inputs exactly, inflate large ones."""
+    params = gap_params(epsilon, len(pi), len(tau))
+    if not params.below_threshold:
+        return _inflated_instance(pi, tau, params.alpha, max_text_len, params.epsilon)
+    if contains_left_aligned(pi, tau):
+        pattern, text = TRIVIAL_YES
+        branch = "trivial_yes"
+    else:
+        pattern, text = TRIVIAL_NO
+        branch = "trivial_no"
+    return GapInstance(
+        pattern=pattern,
+        text=text,
+        k_prime=len(pattern),
+        n_prime=len(text),
+        branch=branch,
+        initial_block_pattern_len=0,
+        initial_block_text_len=0,
+        epsilon=params.epsilon,
+        alpha=params.alpha,
+    )
+
+
+def _suffix_copies(gap: GapInstance) -> BigCount:
+    """Pattern copies within the re-ranked text suffix that survives
+    removing the initial block."""
+    suffix = standardize(gap.text.values[gap.initial_block_text_len :])
+    return count_copies(gap.pattern, suffix)
 
 
 def copies_touching_initial_block(gap: GapInstance) -> BigCount:
@@ -179,12 +206,7 @@ def copies_touching_initial_block(gap: GapInstance) -> BigCount:
     """
     if gap.branch != "inflated":
         raise ValueError("not an inflated instance")
-    total = count_copies(gap.pattern, gap.text)
-    suffix_values = gap.text.values[gap.initial_block_text_len :]
-    if len(suffix_values) < len(gap.pattern):
-        return total
-    suffix = standardize(suffix_values)
-    return total - count_copies(gap.pattern, suffix)
+    return count_copies(gap.pattern, gap.text) - _suffix_copies(gap)
 
 
 @dataclass(frozen=True)
@@ -337,22 +359,11 @@ def verify_core(
     positions.
     """
     k, n = len(pi), len(tau)
-    pattern, text = build_core(pi, tau, alpha, max_text_len)
-    k_prime, n_prime = inflated_lengths(n, k, alpha)
-    block_len = alpha * k * n**alpha
-    gap = GapInstance(
-        pattern=pattern,
-        text=text,
-        k_prime=k_prime,
-        n_prime=n_prime,
-        branch="inflated",
-        initial_block_pattern_len=alpha * k,
-        initial_block_text_len=block_len,
-        alpha=alpha,
-    )
+    inst = _inflated_instance(pi, tau, alpha, max_text_len)
+    k_prime, block_len = inst.k_prime, inst.initial_block_text_len
     yes_side = contains_left_aligned(pi, tau)
-    total = count_copies(pattern, text)
-    touching = copies_touching_initial_block(gap)
+    total = count_copies(inst.pattern, inst.text)
+    touching = total - _suffix_copies(inst)
     size_ok = all(initial_block_bounds(n, k, alpha))
 
     yes_ok: bool | None = None
@@ -364,7 +375,7 @@ def verify_core(
 
     lemma_ok: bool | None = None
     if alpha * k >= 2:
-        embeddings, truncated = enumerate_embeddings(pattern, text, cap=total + 1)
+        embeddings, truncated = enumerate_embeddings(inst.pattern, inst.text, cap=total + 1)
         lemma_ok = not truncated and all(
             sum(1 for pos in emb if pos <= block_len) <= alpha * k for emb in embeddings
         )
@@ -376,7 +387,7 @@ def verify_core(
     return CoreReport(
         source_has_left_aligned_copy=yes_side,
         k_prime=k_prime,
-        n_prime=n_prime,
+        n_prime=inst.n_prime,
         total_copies=total,
         touching_initial_block=touching,
         size_bounds_hold=size_ok,

@@ -126,7 +126,7 @@ def criterion_3(scale: str = "full") -> CriterionResult:
     def check(pi: Permutation, tau: Permutation) -> None:
         nonlocal checked
         checked += 1
-        direct = matching.count_left_aligned_direct(pi, tau)
+        direct = matching.count_left_aligned(pi, tau)
         diff = matching.count_left_aligned_by_difference(pi, tau)
         if direct != diff:
             failures.append(f"({pi}|{tau}): direct {direct} != difference {diff}")

@@ -1,5 +1,9 @@
 """Gap parameters, inflation construction, bound chains, decision rule."""
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -7,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpat import gap, matching
+import permpat
+from permpat import backend, gap, matching
 from permpat.core import Permutation
 
 P = Permutation.parse
@@ -44,6 +49,30 @@ class TestGapParams:
         assert gap.gap_params(Fraction(2, 5), 1, edge - 1).below_threshold
         assert not gap.gap_params(Fraction(2, 5), 1, edge).below_threshold
 
+    def test_power_comparison_shortcut_is_exact(self):
+        equal = 0
+        for a, x, b, y in itertools.product(range(1, 33), range(1, 7), repeat=2):
+            assert gap._power_less(a, x, b, y) == (a**x < b**y), (a, x, b, y)
+            equal += a**x == b**y
+        assert equal > 32  # more than the a == b, x == y diagonal
+        big = 2**100
+        assert not gap._power_less(big, 3, 2**150, 2)  # equal powers
+        assert gap._power_less(big - 1, 3, 2**150, 2)
+        assert not gap._power_less(big + 1, 3, 2**150, 2)
+
+    def test_tiny_epsilon_decided_without_big_powers(self):
+        # the exact threshold power here has about 2 * 10^8 bits
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(permpat.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpat.cli", "gap", "build",
+             "--pattern", "21", "--text", "21", "--epsilon", "1/2000"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["branch"] == "trivial_yes"
+
 
 class TestBuildCore:
     def test_frozen_examples(self):
@@ -62,11 +91,6 @@ class TestBuildCore:
         with pytest.raises(ValueError, match="too large"):
             gap.build_core(P("12"), P("12"), 2, max_text_len=16)
         gap.build_core(P("12"), P("12"), 2, max_text_len=17)
-
-    def test_cap_from_environment(self, monkeypatch):
-        monkeypatch.setenv("PERMPAT_MAX_TEXT_LEN", "16")
-        with pytest.raises(ValueError, match="too large"):
-            gap.build_core(P("12"), P("12"), 2)
 
     @given(perm(max_n=3), perm(max_n=3), st.integers(1, 3))
     @settings(max_examples=120)
@@ -202,6 +226,24 @@ class TestVerifyCore:
     def test_block_usage_lemma(self):
         report = gap.verify_core(P("21"), P("21"), 1)
         assert report.block_usage_lemma_holds
+
+
+class TestKernelCalls:
+    def test_each_search_runs_once(self, monkeypatch):
+        calls = []
+        real = backend.count_pattern
+
+        def counted(*args, **kwargs):
+            calls.append((args, tuple(sorted(kwargs.items()))))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(backend, "count_pattern", counted)
+        assert matching.count_left_aligned(P("213"), P("24153")) == 2
+        assert len(calls) == 1
+        for pi, tau, alpha in ((P("12"), P("21"), 1), (P("21"), P("312"), 2)):
+            calls.clear()
+            gap.verify_core(pi, tau, alpha)
+            assert calls and len(calls) == len(set(calls))
 
 
 class TestCheckBounds:

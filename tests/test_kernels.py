@@ -1,4 +1,5 @@
 """Compiled and pure kernels implement the same contract."""
+import gc
 import itertools
 import random
 
@@ -100,6 +101,18 @@ class TestCountInversions:
                 1 for a in range(n) for b in range(a + 1, n) if vals[a] > vals[b]
             )
             assert kernel.count_inversions(vals) == naive
+
+    def test_pure_merge_leaves_no_reference_cycle(self):
+        # garbage left in a cycle would hold the working copies of the
+        # input until the next full collection
+        vals = list(range(1000, 0, -1))
+        gc.collect()
+        gc.disable()
+        try:
+            _kernels_py.count_inversions(vals)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernels not built")

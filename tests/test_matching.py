@@ -125,10 +125,10 @@ class TestLeftAligned:
 
     def test_count_example_both_routes(self):
         pi, tau = P("213"), P("24153")
-        assert matching.count_left_aligned_direct(pi, tau) == 2
+        assert matching.count_left_aligned(pi, tau) == 2
         assert matching.count_copies(pi, tau) == 3
         assert matching.count_copies(pi, delete_leftmost(tau)) == 1
-        assert matching.count_left_aligned(pi, tau) == 2
+        assert matching.count_left_aligned_by_difference(pi, tau) == 2
 
     def test_singleton_pattern_counts_once(self):
         for tau in all_perms(4):
@@ -137,7 +137,7 @@ class TestLeftAligned:
     @given(perm(max_n=4), perm(max_n=8))
     @settings(max_examples=200)
     def test_pinned_equals_difference(self, pi, tau):
-        direct = matching.count_left_aligned_direct(pi, tau)
+        direct = matching.count_left_aligned(pi, tau)
         assert direct == matching.count_left_aligned_by_difference(pi, tau)
 
 

@@ -1,10 +1,8 @@
 """Build script: compiles the kernel extension when a toolchain is present.
 
-The extension is optional; a failed compile leaves the pure-Python kernels
-in charge.  Set PERMPAT_SKIP_EXT=1 to skip the compile outright.
+The extension is optional; a missing Cython or a failed compile leaves the
+pure-Python kernels in charge.
 """
-import os
-
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
@@ -30,8 +28,6 @@ class optional_build_ext(build_ext):
 
 
 def extensions():
-    if os.environ.get("PERMPAT_SKIP_EXT"):
-        return []
     try:
         from Cython.Build import cythonize
     except ImportError:

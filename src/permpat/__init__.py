@@ -39,7 +39,6 @@ from permpat.matching import (
     count_copies_naive,
     count_inversions,
     count_left_aligned,
-    enumerate_embeddings,
 )
 from permpat.psi import (
     Graph,
@@ -85,7 +84,6 @@ __all__ = [
     "deflate",
     "delete_leftmost",
     "diagram",
-    "enumerate_embeddings",
     "gap_params",
     "inflate",
     "layered",

@@ -36,10 +36,17 @@ def _parse_epsilon(value: str) -> Fraction:
 
 
 def _parse_big_int(value: str) -> int:
-    """Plain decimal, or BASE^EXP shorthand for the large bound checks."""
+    """Plain decimal, or BASE^EXP shorthand for the large bound checks.
+
+    BASE^EXP is refused before it is computed when the power could exceed
+    gap.POWER_BIT_BUDGET bits.
+    """
     if "^" in value:
-        base, exp = value.split("^", 1)
-        return int(base) ** int(exp)
+        base, exp = (int(part) for part in value.split("^", 1))
+        if exp < 0:
+            raise ValueError("exponent must be non-negative")
+        gap.require_power_within_budget(base, exp)
+        return base**exp
     return int(value)
 
 

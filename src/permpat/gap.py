@@ -18,17 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, log10
 
 from permpat.core import Permutation, inflate, layered, standardize
-from permpat.matching import (
-    BigCount,
-    contains_left_aligned,
-    count_copies,
-    enumerate_embeddings,
-)
+from permpat.matching import BigCount, contains, contains_left_aligned, count_copies
 
 DEFAULT_MAX_TEXT_LEN = 10**6
+
+# Most bits any power in check_bounds (or a BASE^EXP operand) may have.  The
+# largest power in acceptance criterion 8 has 335,650 bits; 2^20 leaves about
+# 3x headroom while keeping every check under a second.
+POWER_BIT_BUDGET = 1 << 20
 
 TRIVIAL_YES = (Permutation((1,)), Permutation((1,)))
 TRIVIAL_NO = (Permutation((1, 2)), Permutation((2, 1)))
@@ -56,6 +56,16 @@ def _power_less(a: int, x: int, b: int, y: int) -> bool:
     if y * lb <= x * (la - 1):
         return False
     return a**x < b**y
+
+
+def require_power_within_budget(base: int, exp: int) -> None:
+    """Raise ValueError unless base^exp surely fits in POWER_BIT_BUDGET bits.
+
+    exp * bitlen(base) bounds the bit length of the power, so the estimate
+    costs nothing and the power is never computed.
+    """
+    if exp * base.bit_length() > POWER_BIT_BUDGET:
+        raise ValueError(f"operands too large: a power would exceed {POWER_BIT_BUDGET} bits")
 
 
 def gap_params(epsilon: Fraction, k: int, n: int) -> GapParams:
@@ -119,16 +129,20 @@ def build_core(
     Exposed separately because the threshold test forces the trivial branch
     for every desk-scale text, so only the alpha-parametrized core can be
     exercised against brute force.  Inflated texts longer than
-    ``max_text_len`` (default 10^6) are rejected.
+    ``max_text_len`` (default 10^6) are rejected, by bit length first:
+    for n >= 2, n' >= n^alpha >= 2^(alpha*(bitlen(n)-1)), so a large alpha
+    is refused before n^alpha is computed.
     """
     k, n = len(pi), len(tau)
     if k < 1 or n < 1:
         raise ValueError("empty inputs")
     if alpha < 1:
         raise ValueError("alpha must be positive")
-    _, n_prime = inflated_lengths(n, k, alpha)
     if max_text_len is None:
         max_text_len = DEFAULT_MAX_TEXT_LEN
+    if n >= 2 and alpha * (n.bit_length() - 1) >= max_text_len.bit_length():
+        raise ValueError("instance too large")
+    _, n_prime = inflated_lengths(n, k, alpha)
     if n_prime > max_text_len:
         raise ValueError("instance too large")
     one = Permutation((1,))
@@ -215,6 +229,15 @@ class BoundCheck:
     holds: bool
 
 
+def _decimal_digits(x: int) -> int:
+    """Exact number of decimal digits of a positive integer, without str()
+    (which refuses integers beyond 4300 digits)."""
+    digits = int(x.bit_length() * log10(2))  # the digit count or one less
+    while 10**digits <= x:
+        digits += 1
+    return digits
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     epsilon: Fraction
@@ -236,7 +259,7 @@ class BoundsReport:
             "k": self.k,
             "n": str(self.n),
             "k_prime": self.k_prime,
-            "n_prime_digits": len(str(self.n_prime)),
+            "n_prime_digits": _decimal_digits(self.n_prime),
             "checks": [{"name": c.name, "holds": c.holds} for c in self.checks],
             "all_hold": self.all_hold,
         }
@@ -256,16 +279,26 @@ def check_bounds(n: int, k: int, epsilon: Fraction) -> BoundsReport:
 
     Requires the above-threshold regime (n >= ((alpha+1)*k)^(2*alpha/epsilon));
     every comparison is performed on integers after clearing the rational
-    exponents by raising both sides to the exponent denominator.
+    exponents by raising both sides to the exponent denominator.  Inputs
+    whose powers could exceed POWER_BIT_BUDGET bits are rejected with
+    ValueError before any power is computed.
     """
+    epsilon = Fraction(epsilon)
+    # gap_params computes n^p when bit lengths cannot decide the threshold;
+    # the other side of that test then has about as many bits
+    require_power_within_budget(n, epsilon.numerator)
     params = gap_params(epsilon, k, n)
     if params.below_threshold:
         raise ValueError("threshold precondition unmet")
     alpha = params.alpha
     p, q = params.epsilon.numerator, params.epsilon.denominator
-    k_prime, n_prime = inflated_lengths(n, k, alpha)
-    n_alpha = n**alpha
     big = (alpha + 1) * k
+    require_power_within_budget(n, alpha * alpha * k * q)  # bounds n^alpha too
+    require_power_within_budget(big, 2 * alpha * q)
+    k_prime, n_prime = inflated_lengths(n, k, alpha)
+    require_power_within_budget(n, k_prime * alpha)
+    require_power_within_budget(n_prime, max(k_prime * q, p * alpha * k_prime))
+    n_alpha = n**alpha
     checks = (
         BoundCheck("n^alpha <= n'", n_alpha <= n_prime),
         BoundCheck("n' <= (alpha+1)*k*n^alpha", n_prime <= big * n_alpha),
@@ -317,7 +350,13 @@ def meets_no_threshold(count: BigCount, n: int, k: int, epsilon: Fraction) -> bo
 
 @dataclass(frozen=True)
 class CoreReport:
-    """Outcome of the yes/no-case property battery for one (pi, tau, alpha)."""
+    """Outcome of the yes/no-case property battery for one (pi, tau, alpha).
+
+    ``block_usage_lemma_holds`` is None when alpha*k < 2.  Otherwise it
+    reports whether the initial block avoids the pattern's first alpha*k+1
+    elements, which implies that no copy uses more than alpha*k block
+    positions.
+    """
 
     source_has_left_aligned_copy: bool
     k_prime: int
@@ -356,7 +395,9 @@ def verify_core(
     Yes-side: at least n^(alpha^2 k) copies.  No-side: no copy touches the
     initial block and the total is at most binomial(n-1, k').  Either way,
     when alpha*k >= 2 every embedding uses at most alpha*k initial-block
-    positions.
+    positions.  The block is a prefix of the text, so an embedding with
+    m = alpha*k+1 block positions puts the pattern's first m elements there;
+    one detection of that prefix pattern in the block checks the lemma.
     """
     k, n = len(pi), len(tau)
     inst = _inflated_instance(pi, tau, alpha, max_text_len)
@@ -375,9 +416,9 @@ def verify_core(
 
     lemma_ok: bool | None = None
     if alpha * k >= 2:
-        embeddings, truncated = enumerate_embeddings(inst.pattern, inst.text, cap=total + 1)
-        lemma_ok = not truncated and all(
-            sum(1 for pos in emb if pos <= block_len) <= alpha * k for emb in embeddings
+        m = alpha * k + 1
+        lemma_ok = m > k_prime or not contains(
+            standardize(inst.pattern.values[:m]), standardize(inst.text.values[:block_len])
         )
 
     checks = [size_ok]

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import isqrt
-from typing import Iterator
 
 from permpat import backend
-from permpat._kernels_py import order_constraints
 from permpat.core import Permutation, delete_leftmost
 
 BigCount = int
-Embedding = tuple[int, ...]
 
 
 def _require_pattern(pi: Permutation) -> None:
@@ -100,57 +97,6 @@ def count_left_aligned_by_difference(pi: Permutation, tau: Permutation) -> BigCo
 def count_inversions(tau: Permutation) -> BigCount:
     """Number of inversions, i.e. copies of 2 1; O(n log n) merge counting."""
     return backend.count_inversions(tau.values)
-
-
-def _embeddings(pattern: tuple[int, ...], text: tuple[int, ...], pin_first: bool) -> Iterator[tuple[int, ...]]:
-    """Yield embeddings as 0-based index tuples in lexicographic order."""
-    k, n = len(pattern), len(text)
-    if k > n:
-        return
-    pred, succ = order_constraints(pattern)
-    idx = [0] * k
-    val = [0] * k
-
-    def rec(j: int, start: int) -> Iterator[tuple[int, ...]]:
-        lo = val[pred[j]] if pred[j] >= 0 else 0
-        hi = val[succ[j]] if succ[j] >= 0 else n + 1
-        last = 0 if (pin_first and j == 0) else n - (k - j)
-        for i in range(start, last + 1):
-            v = text[i]
-            if lo < v < hi:
-                idx[j] = i
-                val[j] = v
-                if j == k - 1:
-                    yield tuple(idx)
-                else:
-                    yield from rec(j + 1, i + 1)
-
-    yield from rec(0, 0)
-
-
-def enumerate_embeddings(
-    pi: Permutation,
-    tau: Permutation,
-    cap: int,
-    require_left_aligned: bool = False,
-) -> tuple[list[Embedding], bool]:
-    """List embeddings of pi into tau as 1-based index tuples.
-
-    Embeddings come in lexicographic index order; at most ``cap`` are
-    returned and the second component reports whether the cap cut the
-    enumeration short.
-    """
-    _require_pattern(pi)
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    out: list[Embedding] = []
-    truncated = False
-    for emb in _embeddings(pi.values, tau.values, require_left_aligned):
-        if len(out) == cap:
-            truncated = True
-            break
-        out.append(tuple(i + 1 for i in emb))
-    return out, truncated
 
 
 def approx_count(pi: Permutation, tau: Permutation) -> BigCount:

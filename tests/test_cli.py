@@ -156,6 +156,18 @@ class TestGap:
         assert res.exit_code == 0
         assert payload(res)["result"]["all_hold"] is True
 
+    def test_check_bounds_n_prime_beyond_str_limit(self, runner):
+        # n' = 6*10^4800 + 10^800 - 1: more digits than int-to-str allows
+        res = run(runner, "gap", "check-bounds", "--epsilon", "1/3", "--k", "1",
+                  "--n", "10^800")
+        assert res.exit_code == 0
+        assert payload(res)["result"]["n_prime_digits"] == 4801
+
+    def test_check_bounds_rejects_negative_exponent(self, runner):
+        res = run(runner, "gap", "check-bounds", "--epsilon", "1/3", "--k", "1",
+                  "--n", "0^-1")
+        assert res.exit_code == 2
+
     def test_check_bounds_below_threshold(self, runner):
         res = run(runner, "gap", "check-bounds", "--epsilon", "1/3", "--k", "2",
                   "--n", "100")

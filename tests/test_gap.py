@@ -20,6 +20,21 @@ P = Permutation.parse
 SAMPLE_EPSILONS = (Fraction(1, 3), Fraction(2, 5), Fraction(49, 100))
 
 
+def run_cli(*args, timeout):
+    """Run the CLI in a fresh interpreter, killed after ``timeout`` seconds."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(permpat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "permpat.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+def all_perms(n):
+    return [Permutation(v) for v in itertools.permutations(range(1, n + 1))]
+
+
 @st.composite
 def perm(draw, min_n=1, max_n=4):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
@@ -62,14 +77,8 @@ class TestGapParams:
 
     def test_tiny_epsilon_decided_without_big_powers(self):
         # the exact threshold power here has about 2 * 10^8 bits
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(permpat.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "permpat.cli", "gap", "build",
-             "--pattern", "21", "--text", "21", "--epsilon", "1/2000"],
-            capture_output=True, text=True, env=env, timeout=20,
-        )
+        proc = run_cli("gap", "build", "--pattern", "21", "--text", "21",
+                       "--epsilon", "1/2000", timeout=20)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["branch"] == "trivial_yes"
 
@@ -91,6 +100,23 @@ class TestBuildCore:
         with pytest.raises(ValueError, match="too large"):
             gap.build_core(P("12"), P("12"), 2, max_text_len=16)
         gap.build_core(P("12"), P("12"), 2, max_text_len=17)
+        # the bit-length shortcut refuses no instance that fits the cap
+        for n, k, alpha in itertools.product(range(1, 9), range(1, 4), range(1, 9)):
+            _, n_prime = gap.inflated_lengths(n, k, alpha)
+            if n_prime > 5000:
+                continue
+            pi, tau = Permutation.increasing(k), Permutation.increasing(n)
+            gap.build_core(pi, tau, alpha, max_text_len=n_prime)
+            with pytest.raises(ValueError, match="too large"):
+                gap.build_core(pi, tau, alpha, max_text_len=n_prime - 1)
+
+    @pytest.mark.parametrize("command", ["core", "verify"])
+    def test_huge_alpha_refused_before_the_power(self, command):
+        # 3^(10^8) has about 1.6 * 10^8 bits
+        proc = run_cli("gap", command, "--pattern", "21", "--text", "321",
+                       "--alpha", "100000000", timeout=10)
+        assert proc.returncode == 2
+        assert "instance too large" in proc.stderr
 
     @given(perm(max_n=3), perm(max_n=3), st.integers(1, 3))
     @settings(max_examples=120)
@@ -227,6 +253,44 @@ class TestVerifyCore:
         report = gap.verify_core(P("21"), P("21"), 1)
         assert report.block_usage_lemma_holds
 
+    @staticmethod
+    def most_block_positions(pattern, text, block_len):
+        """Most initial-block positions used by any copy (-1: no copy), by
+        testing every subset of text positions for the pattern's value order."""
+        order = sorted(range(len(pattern)), key=pattern.values.__getitem__)
+        return max(
+            (
+                sum(i < block_len for i in c)
+                for c in itertools.combinations(range(len(text)), len(pattern))
+                if sorted(range(len(c)), key=lambda j: text.values[c[j]]) == order
+            ),
+            default=-1,
+        )
+
+    def test_block_usage_lemma_matches_subset_oracle(self):
+        checked = 0
+        for k, n in itertools.product(range(1, 4), range(1, 5)):
+            for alpha in itertools.count(1):
+                _, n_prime = gap.inflated_lengths(n, k, alpha)
+                if n_prime > 20:
+                    break
+                if alpha * k < 2:
+                    continue
+                for pi, tau in itertools.product(all_perms(k), all_perms(n)):
+                    pattern, text = gap.build_core(pi, tau, alpha)
+                    used = self.most_block_positions(pattern, text, alpha * k * n**alpha)
+                    report = gap.verify_core(pi, tau, alpha)
+                    assert report.block_usage_lemma_holds == (used <= alpha * k), (pi, tau, alpha)
+                    checked += 1
+        assert checked == 343
+
+    def test_block_usage_lemma_can_fail(self, monkeypatch):
+        # an increasing initial block holds the increasing pattern prefix
+        monkeypatch.setattr(gap, "layered", lambda sizes: Permutation.increasing(sum(sizes)))
+        report = gap.verify_core(P("12"), P("21"), 1)
+        assert report.block_usage_lemma_holds is False
+        assert not report.checks_pass
+
 
 class TestKernelCalls:
     def test_each_search_runs_once(self, monkeypatch):
@@ -244,6 +308,8 @@ class TestKernelCalls:
             calls.clear()
             gap.verify_core(pi, tau, alpha)
             assert calls and len(calls) == len(set(calls))
+            # the block-usage lemma is one detection on the initial block
+            assert [kw for _, kw in calls].count((("limit", 1),)) == 1
 
 
 class TestCheckBounds:
@@ -263,6 +329,32 @@ class TestCheckBounds:
         report = gap.check_bounds(n, k, eps)
         assert report.all_hold, [c.name for c in report.checks if not c.holds]
         assert len(report.checks) == 7
+
+    @pytest.mark.parametrize(
+        "k,n,epsilon",
+        [
+            ("1", "7^100000000", "1/3"),
+            ("1", "7^1000000", "1/3"),
+            ("30", "2^10000", "1/3"),
+            # n^p is the threshold side computed exactly when bit lengths tie
+            ("1", "2^140", "333333333333/1000000000000"),
+        ],
+    )
+    def test_huge_operands_refused_at_once(self, k, n, epsilon):
+        proc = run_cli("gap", "check-bounds", "--epsilon", epsilon, "--k", k, "--n", n,
+                       timeout=10)
+        assert proc.returncode == 2
+        assert "too large" in proc.stderr
+
+    def test_budget_boundary(self):
+        with pytest.raises(ValueError, match="too large"):
+            gap.require_power_within_budget(2, gap.POWER_BIT_BUDGET // 2 + 1)
+        gap.require_power_within_budget(2, gap.POWER_BIT_BUDGET // 2)
+
+    def test_decimal_digits_exact(self):
+        for d in range(1, 700, 7):
+            for x in (10 ** (d - 1), 10**d - 1, 10**d, 10**d + 1, 2 ** (3 * d), 3**d):
+                assert gap._decimal_digits(x) == len(str(x)), x
 
     def test_report_serializes(self):
         report = gap.check_bounds(7**36, 1, Fraction(1, 3))

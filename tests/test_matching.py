@@ -164,45 +164,6 @@ class TestInversions:
             assert matching.count_inversions(tau) == matching.count_copies(two_one, tau)
 
 
-class TestEnumerate:
-    def test_unique_copy(self):
-        embs, truncated = matching.enumerate_embeddings(P("312"), P("24153"), 10)
-        assert embs == [(2, 3, 5)] and not truncated
-
-    def test_no_copies(self):
-        embs, truncated = matching.enumerate_embeddings(P("21"), P("12"), 10)
-        assert embs == [] and not truncated
-
-    def test_cap_hit(self):
-        embs, truncated = matching.enumerate_embeddings(P("1"), P("21"), 1)
-        assert embs == [(1,)] and truncated
-
-    def test_zero_cap_rejected(self):
-        with pytest.raises(ValueError):
-            matching.enumerate_embeddings(P("1"), P("21"), 0)
-
-    def test_lexicographic_order_and_count_agreement(self):
-        pi, tau = P("12"), P("14235")
-        embs, truncated = matching.enumerate_embeddings(pi, tau, 100)
-        assert not truncated
-        assert embs == sorted(embs)
-        assert len(embs) == matching.count_copies(pi, tau)
-
-    def test_left_aligned_enumeration(self):
-        embs, _ = matching.enumerate_embeddings(P("213"), P("24153"), 10, require_left_aligned=True)
-        assert embs == [(1, 3, 4), (1, 3, 5)]
-        assert all(e[0] == 1 for e in embs)
-
-    @given(perm(max_n=3), perm(max_n=6))
-    @settings(max_examples=100)
-    def test_full_enumeration_matches_counts(self, pi, tau):
-        embs, truncated = matching.enumerate_embeddings(pi, tau, 10**6)
-        assert not truncated
-        assert len(embs) == matching.count_copies(pi, tau)
-        pinned, _ = matching.enumerate_embeddings(pi, tau, 10**6, require_left_aligned=True)
-        assert len(pinned) == matching.count_left_aligned(pi, tau)
-
-
 class TestApproxCount:
     def test_examples(self):
         assert matching.approx_count(P("321"), P("123")) == 0

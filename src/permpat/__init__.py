@@ -6,7 +6,7 @@ isomorphism to left-aligned matching, a gap-producing inflation for
 promise counting, and a detection-based multiplicative approximation --
 each cross-checked against brute-force oracles at small scale.
 """
-from permpat.backend import BACKEND_NAME, using_compiled
+from permpat.backend import BACKEND_NAME
 from permpat.core import (
     Permutation,
     Point,
@@ -92,7 +92,6 @@ __all__ = [
     "reduce_psi",
     "solve_psi_bruteforce",
     "standardize",
-    "using_compiled",
     "verify_core",
     "verify_reduction",
 ]

@@ -1,9 +1,10 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when importable; the pure-Python
-kernels are a drop-in fallback.  Setting the environment variable
-``PERMPAT_PURE=1`` forces the pure backend (useful for benchmarking and
-for testing both paths).
+The compiled kernels (``_kernels.c``, built on first import) are preferred
+when they build and load; the pure-Python kernels are a drop-in fallback.
+Setting the environment variable ``PERMPAT_PURE=1`` forces the pure backend
+without touching the compiled path (useful for benchmarking and for
+testing both paths).
 """
 from __future__ import annotations
 
@@ -23,7 +24,3 @@ count_pattern = _impl.count_pattern
 count_inversions = _impl.count_inversions
 
 BACKEND_NAME: str = _impl.BACKEND_NAME
-
-
-def using_compiled() -> bool:
-    return BACKEND_NAME == "compiled"

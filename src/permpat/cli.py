@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import click
 
-from permpat import gap, matching, psi, selfcheck
+from permpat import gap, matching, psi
 from permpat.core import Permutation
 
 PARSE_ERROR = 2
@@ -163,8 +163,13 @@ def psi_group() -> None:
 
 
 def _load_instance(path: str) -> psi.PsiInstance:
+    """Read a PSI instance file; any malformed document is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return psi.PsiInstance.from_json(fh.read())
+        text = fh.read()
+    try:
+        return psi.PsiInstance.from_json(text)
+    except (TypeError, IndexError, KeyError) as exc:
+        raise ValueError(f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
 
 @psi_group.command(name="build")
@@ -324,6 +329,8 @@ def gap_verify(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -
 @_format_option
 def selfcheck_cmd(scale: str, fmt: str) -> None:
     """Run the acceptance criteria suites."""
+    from permpat import selfcheck
+
     started = time.perf_counter()
     results = selfcheck.run_all(scale)
     if fmt == "json":

@@ -129,6 +129,27 @@ class TestPsi:
         res = run(runner, "psi", "build", str(f))
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"G": 1}',
+            "[]",
+            '{"G": {"k": 2, "edges": [[1]]}, "H": {"n": 2, "edges": []}, "chi": [1, 2]}',
+            '{"G": {"k": 2, "edges": []}, "H": {"n": 2, "edges": []}, "chi": null}',
+        ],
+        ids=["G-not-object", "top-level-list", "short-edge", "chi-null"],
+    )
+    def test_malformed_instance_is_parse_error(self, runner, tmp_path, command, doc):
+        f = tmp_path / "bad.json"
+        f.write_text(doc)
+        res = run(runner, "psi", command, str(f))
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed instance")
+
 
 class TestGap:
     def test_core_frozen_example(self, runner):

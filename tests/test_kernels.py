@@ -1,9 +1,16 @@
 """Compiled and pure kernels implement the same contract."""
 import gc
 import itertools
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permpat import _kernels_py
 
@@ -139,3 +146,76 @@ class TestBackendsAgree:
             vals = list(range(1, n + 1))
             rng.shuffle(vals)
             assert _kernels_py.count_inversions(vals) == _kernels.count_inversions(vals)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        pat=st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
+        txt=st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        pin=st.booleans(),
+        limit=st.sampled_from([0, 1, 3, 2**64, 2**64 + 1]),
+    )
+    def test_counts_agree_property(self, pat, txt, pin, limit):
+        # limits past 2**63 - 1 wrap in a C long long (2**64 + 1 would
+        # become 1); they must still mean "no limit"
+        assert _kernels.count_pattern(pat, txt, pin, limit) == _kernels_py.count_pattern(
+            pat, txt, pin, limit
+        )
+
+    def test_changed_source_byte_changes_library_path(self):
+        source = Path(_kernels.__file__).with_name("_kernels.c").read_bytes()
+        mid = len(source) // 2
+        changed = source[:mid] + bytes([source[mid] ^ 1]) + source[mid + 1:]
+        assert _kernels._library_path(changed) != _kernels._library_path(source)
+
+
+PROBE = (
+    "import permpat; from permpat import Permutation as P;"
+    "print(permpat.BACKEND_NAME,"
+    " permpat.count_copies(P((3, 1, 2)), P((2, 4, 1, 5, 3, 7, 6))),"
+    " permpat.count_inversions(P((2, 4, 1, 5, 3, 7, 6))))"
+)
+
+
+def import_fresh(tmp_path, path):
+    """Run PROBE in a new interpreter whose kernel cache is under tmp_path."""
+    src = os.path.dirname(os.path.dirname(_kernels_py.__file__))
+    env = dict(os.environ, PATH=path, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PERMPAT_PURE", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    backend, copies, inversions = proc.stdout.split()
+    text = (2, 4, 1, 5, 3, 7, 6)
+    assert int(copies) == _kernels_py.count_pattern((3, 1, 2), text)
+    assert int(inversions) == _kernels_py.count_inversions(text)
+    return backend, sorted((tmp_path / "cache").rglob("*.so"))
+
+
+class TestKernelBuild:
+    def test_without_compiler_falls_back_to_pure(self, tmp_path):
+        no_cc = tmp_path / "bin"
+        no_cc.mkdir()
+        backend, libraries = import_fresh(tmp_path, str(no_cc))
+        assert backend == "pure-python"
+        assert libraries == []
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_first_import_builds_into_the_cache(self, tmp_path):
+        backend, libraries = import_fresh(tmp_path, os.environ["PATH"])
+        assert backend == "compiled"
+        assert [p.parent.name for p in libraries] == ["permpat"]
+        assert libraries[0].name.startswith("_kernels-")
+
+    @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernels not built")
+    def test_unloadable_library_is_rebuilt(self, tmp_path, monkeypatch):
+        # a truncated file under the cache name must not pin the pure backend
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        source = Path(_kernels.__file__).with_name("_kernels.c").read_bytes()
+        path = Path(_kernels._library_path(source))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"")
+        backend, libraries = import_fresh(tmp_path, os.environ["PATH"])
+        assert backend == "compiled"
+        assert libraries == [path] and path.stat().st_size > 0

@@ -50,6 +50,18 @@ def _parse_big_int(value: str) -> int:
     return int(value)
 
 
+def _decimal(value: int, name: str) -> str:
+    """str(value); past Python's int-to-str digit limit, a ValueError that
+    names the value and its size."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"{name} has {gap._decimal_digits(value)} decimal digits, over the"
+            f" {sys.get_int_max_str_digits()}-digit output limit"
+        ) from None
+
+
 def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) -> None:
     report = {
         "command": command,
@@ -139,7 +151,7 @@ def count(pattern: str | None, text: str, mode: str, fmt: str) -> None:
             elif mode == "naive":
                 result = {"count": str(matching.count_copies_naive(pi, tau))}
             elif mode == "approx":
-                result = {"estimate": str(matching.approx_count(pi, tau))}
+                result = {"estimate": _decimal(matching.approx_count(pi, tau), "estimate")}
             else:
                 direct = matching.count_left_aligned(pi, tau)
                 diff = matching.count_left_aligned_by_difference(pi, tau)
@@ -180,6 +192,12 @@ def psi_build(instance_file: str, fmt: str) -> None:
     started = time.perf_counter()
     try:
         instance = _load_instance(instance_file)
+        pattern_len = psi.pattern_length(instance.g)
+        if pattern_len > gap.DEFAULT_MAX_TEXT_LEN:
+            raise ValueError(
+                f"instance too large: the gadget pattern would have {pattern_len} elements,"
+                f" over {gap.DEFAULT_MAX_TEXT_LEN}"
+            )
         gadget = psi.reduce_psi(instance)
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         _fail(str(exc))

@@ -21,14 +21,16 @@ from fractions import Fraction
 from math import ceil, comb, log10
 
 from permpat.core import Permutation, inflate, layered, standardize
-from permpat.matching import BigCount, contains, contains_left_aligned, count_copies
+from permpat.matching import (
+    POWER_BIT_BUDGET,
+    BigCount,
+    contains,
+    contains_left_aligned,
+    count_copies,
+    require_power_within_budget,
+)
 
 DEFAULT_MAX_TEXT_LEN = 10**6
-
-# Most bits any power in check_bounds (or a BASE^EXP operand) may have.  The
-# largest power in acceptance criterion 8 has 335,650 bits; 2^20 leaves about
-# 3x headroom while keeping every check under a second.
-POWER_BIT_BUDGET = 1 << 20
 
 TRIVIAL_YES = (Permutation((1,)), Permutation((1,)))
 TRIVIAL_NO = (Permutation((1, 2)), Permutation((2, 1)))
@@ -56,16 +58,6 @@ def _power_less(a: int, x: int, b: int, y: int) -> bool:
     if y * lb <= x * (la - 1):
         return False
     return a**x < b**y
-
-
-def require_power_within_budget(base: int, exp: int) -> None:
-    """Raise ValueError unless base^exp surely fits in POWER_BIT_BUDGET bits.
-
-    exp * bitlen(base) bounds the bit length of the power, so the estimate
-    costs nothing and the power is never computed.
-    """
-    if exp * base.bit_length() > POWER_BIT_BUDGET:
-        raise ValueError(f"operands too large: a power would exceed {POWER_BIT_BUDGET} bits")
 
 
 def gap_params(epsilon: Fraction, k: int, n: int) -> GapParams:

@@ -18,6 +18,22 @@ from permpat.core import Permutation, delete_leftmost
 
 BigCount = int
 
+# Most bits any power in gap.check_bounds, a BASE^EXP operand or an
+# approx_count estimate may have.  The largest power in acceptance criterion
+# 8 has 335,650 bits; 2^20 leaves about 3x headroom while keeping every
+# check under a second.
+POWER_BIT_BUDGET = 1 << 20
+
+
+def require_power_within_budget(base: int, exp: int) -> None:
+    """Raise ValueError unless base^exp surely fits in POWER_BIT_BUDGET bits.
+
+    exp * bitlen(base) bounds the bit length of the power, so the estimate
+    costs nothing and the power is never computed.
+    """
+    if exp * base.bit_length() > POWER_BIT_BUDGET:
+        raise ValueError(f"operands too large: a power would exceed {POWER_BIT_BUDGET} bits")
+
 
 def _require_pattern(pi: Permutation) -> None:
     if len(pi) == 0:
@@ -106,9 +122,12 @@ def approx_count(pi: Permutation, tau: Permutation) -> BigCount:
     estimate isqrt(n^k), the integer square root of the exact power.  The
     ideal estimate's square is exactly n^k, giving multiplicative error at
     most n^(k/2) in squared-integer form: n^k <= C^2 * n^k and
-    C^2 <= n^k * n^k whenever the true count C is at least 1.
+    C^2 <= n^k * n^k whenever the true count C is at least 1.  Inputs whose
+    n^k could exceed POWER_BIT_BUDGET bits are refused with ValueError
+    before any search or power.
     """
     _require_nonempty(pi, tau)
+    require_power_within_budget(len(tau), len(pi))
     if not contains(pi, tau):
         return 0
     return isqrt(len(tau) ** len(pi))

@@ -180,6 +180,11 @@ def _grid_points(
     return PointSet(pts)
 
 
+def pattern_length(g: Graph) -> int:
+    """Length of the pattern that encodes G, 2 + 5k + 2|E_G|, without building it."""
+    return 2 + 5 * g.vertex_count + 2 * g.edge_count
+
+
 def build_pattern_points(g: Graph) -> PointSet:
     """Grid encoding of the adjacency structure of G.
 
@@ -294,11 +299,12 @@ def verify_reduction(
 
     The PSI side uses the brute-force solver; the pattern side runs
     left-aligned detection on the reduced gadget.  Instances whose gadget
-    text would exceed ``max_text_len`` are rejected.
+    pattern or text would be longer than ``max_text_len`` are rejected
+    before anything is built.
     """
     n = instance.h.vertex_count
     text_len = 2 + 5 * n + 2 * instance.bichromatic_edge_count()
-    if text_len > max_text_len:
+    if max(pattern_length(instance.g), text_len) > max_text_len:
         raise ValueError("instance too large for oracle verification")
     gadget = reduce_psi(instance)
     witness = solve_psi_bruteforce(instance)

@@ -1,5 +1,8 @@
 """Command-line surface: reports, exit codes, file formats."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -84,6 +87,16 @@ class TestCount:
         res = run(runner, "count", "--pattern", "321", "--text", "123", "--mode", "approx")
         assert payload(res)["result"]["estimate"] == "0"
 
+    def test_approx_estimate_past_str_limit(self, runner, tmp_path):
+        # isqrt(5000^5000) has 9248 digits, past Python's 4300-digit str limit
+        f = tmp_path / "inc.txt"
+        f.write_text(" ".join(map(str, range(1, 5001))))
+        res = run(runner, "count", "--pattern", f"@{f}", "--text", f"@{f}", "--mode", "approx")
+        assert res.exit_code == 2
+        assert res.output.strip().splitlines() == [
+            "error: estimate has 9248 decimal digits, over the 4300-digit output limit"
+        ]
+
     def test_counts_are_decimal_strings(self, runner):
         res = run(runner, "count", "--pattern", "12", "--text", " ".join(map(str, range(1, 31))))
         assert payload(res)["result"]["count"] == str(30 * 29 // 2)
@@ -122,6 +135,20 @@ class TestPsi:
         f.write_text(json.dumps(doc))
         res = run(runner, "psi", "verify", str(f))
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_huge_pattern_graph_refused_at_once(self, tmp_path, command):
+        # the pattern side, 2 + 5k + 2|E_G|, is bounded before anything is built
+        f = tmp_path / "huge.json"
+        f.write_text('{"G":{"k":100000000,"edges":[]},"H":{"n":1,"edges":[]},"chi":[1]}')
+        src = os.path.dirname(os.path.dirname(sys.modules["permpat"].__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpat.cli", "psi", command, str(f)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "too large" in proc.stderr
 
     def test_bad_instance_file(self, runner, tmp_path):
         f = tmp_path / "bad.json"

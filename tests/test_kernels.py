@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -149,16 +150,45 @@ class TestBackendsAgree:
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
-        pat=st.integers(1, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
-        txt=st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        # most examples are full counts with k >= 3, which the compiled
+        # kernel answers at the last position from its prefix-count table
+        pat=st.one_of(st.integers(3, 6), st.integers(1, 6)).flatmap(
+            lambda k: st.permutations(range(1, k + 1))
+        ),
+        txt=st.one_of(st.integers(6, 24), st.integers(1, 24)).flatmap(
+            lambda n: st.permutations(range(1, n + 1))
+        ),
         pin=st.booleans(),
-        limit=st.sampled_from([0, 1, 3, 2**64, 2**64 + 1]),
+        limit=st.one_of(st.just(0), st.sampled_from([0, 1, 3, 2**64, 2**64 + 1])),
     )
     def test_counts_agree_property(self, pat, txt, pin, limit):
         # limits past 2**63 - 1 wrap in a C long long (2**64 + 1 would
         # become 1); they must still mean "no limit"
         assert _kernels.count_pattern(pat, txt, pin, limit) == _kernels_py.count_pattern(
             pat, txt, pin, limit
+        )
+
+    @pytest.mark.parametrize("n", [2048, 2049])
+    def test_layered_counts_on_both_sides_of_the_table_cap(self, n):
+        # decreasing runs of sizes 1-3, increasing across runs: the table
+        # serves n = 2048, the scan n = 2049, and both must give the closed
+        # forms
+        rng = random.Random(n)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+        text, top = [], 0
+        for s in sizes:
+            text.extend(range(top + s, top, -1))
+            top += s
+        after = [n - sum(sizes[: i + 1]) for i in range(len(sizes))]
+        assert _kernels.count_pattern((3, 2, 1), text) == sum(comb(s, 3) for s in sizes)
+        assert _kernels.count_pattern((2, 1, 3), text) == sum(
+            comb(s, 2) * a for s, a in zip(sizes, after)
+        )
+        # pinned 2143: the 1 is in the first run, the 43 in one later run
+        assert _kernels.count_pattern((2, 1, 4, 3), text, True) == (sizes[0] - 1) * sum(
+            comb(s, 2) for s in sizes[1:]
         )
 
     def test_changed_source_byte_changes_library_path(self):
@@ -194,6 +224,16 @@ def import_fresh(tmp_path, path):
 
 
 class TestKernelBuild:
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_source_compiles_without_warnings(self, tmp_path):
+        source = Path(_kernels_py.__file__).with_name("_kernels.c")
+        proc = subprocess.run(
+            ["cc", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
+             "-o", str(tmp_path / "kernels.so"), str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_without_compiler_falls_back_to_pure(self, tmp_path):
         no_cc = tmp_path / "bin"
         no_cc.mkdir()

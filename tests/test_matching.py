@@ -170,6 +170,15 @@ class TestApproxCount:
         assert matching.approx_count(P("312"), P("24153")) == 11
         assert matching.approx_count(P("21"), P("21")) == 2
 
+    def test_power_budget_checked_first(self):
+        # k * bitlen(n) against the budget: 61680 * 17 bits fit, 61681 * 17 do not
+        n = 2**16
+        assert n.bit_length() * 61680 <= matching.POWER_BIT_BUDGET < n.bit_length() * 61681
+        tau = Permutation.increasing(n)
+        assert matching.approx_count(Permutation.increasing(61680), tau) == 2 ** (8 * 61680)
+        with pytest.raises(ValueError, match="too large"):
+            matching.approx_count(Permutation.increasing(61681), tau)
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             matching.approx_count(Permutation(()), P("1"))

@@ -272,6 +272,14 @@ class TestVerifyReduction:
             psi.verify_reduction(inst)
         assert psi.verify_reduction(inst, max_text_len=100).agree
 
+    def test_oversize_pattern_rejected(self):
+        # 2 + 5k + 2|E_G| = 67 for k = 13 and no edges
+        inst = psi.PsiInstance(psi.Graph(13), psi.Graph(1), (1,))
+        assert psi.pattern_length(inst.g) == 67
+        with pytest.raises(ValueError, match="too large"):
+            psi.verify_reduction(inst)
+        assert psi.verify_reduction(inst, max_text_len=67).agree
+
     @given(instances(max_k=3, max_n=4))
     @settings(max_examples=120, deadline=None)
     def test_agreement_on_random_instances(self, inst):

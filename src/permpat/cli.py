@@ -7,10 +7,12 @@ arguments are inline one-line notation, or ``@path`` to read from a file.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import time
 from fractions import Fraction
+from typing import Iterator
 
 import click
 
@@ -29,7 +31,10 @@ def _load_permutation(value: str) -> Permutation:
 
 
 def _parse_epsilon(value: str) -> Fraction:
-    eps = Fraction(value)
+    try:
+        eps = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {value!r} has a zero denominator") from None
     if not (0 < eps < Fraction(1, 2)):
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
     return eps
@@ -79,9 +84,14 @@ def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) ->
         click.echo(f"{key}: {val}")
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(PARSE_ERROR)
+@contextlib.contextmanager
+def _usage_errors() -> Iterator[None]:
+    """Report a ValueError or OSError raised inside as one stderr line, exit 2."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(PARSE_ERROR)
 
 
 _format_option = click.option(
@@ -105,16 +115,13 @@ def main() -> None:
 def detect(pattern: str, text: str, left_aligned: bool, expect: str | None, fmt: str) -> None:
     """Decide whether the text contains the pattern."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         pi = _load_permutation(pattern)
         tau = _load_permutation(text)
         if left_aligned:
             verdict = matching.contains_left_aligned(pi, tau)
         else:
             verdict = matching.contains(pi, tau)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
-        return
     _emit(
         "detect",
         {"pattern": pi.to_text(), "text": tau.to_text(), "left_aligned": left_aligned},
@@ -138,7 +145,7 @@ def count(pattern: str | None, text: str, mode: str, fmt: str) -> None:
     started = time.perf_counter()
     if mode != "inversions" and pattern is None:
         raise click.UsageError("--pattern is required for this mode")
-    try:
+    with _usage_errors():
         tau = _load_permutation(text)
         inputs: dict = {"text": tau.to_text(), "mode": mode}
         if mode == "inversions":
@@ -160,9 +167,6 @@ def count(pattern: str | None, text: str, mode: str, fmt: str) -> None:
                     "difference": str(diff),
                     "agree": direct == diff,
                 }
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
-        return
     _emit("count", inputs, result, started, fmt)
     if mode == "left" and not result["agree"]:
         click.echo("left-aligned counts disagree", err=True)
@@ -180,7 +184,7 @@ def _load_instance(path: str) -> psi.PsiInstance:
         text = fh.read()
     try:
         return psi.PsiInstance.from_json(text)
-    except (TypeError, IndexError, KeyError) as exc:
+    except (TypeError, IndexError, KeyError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
 
@@ -190,7 +194,7 @@ def _load_instance(path: str) -> psi.PsiInstance:
 def psi_build(instance_file: str, fmt: str) -> None:
     """Build and dump the labeled gadget for an instance file."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         instance = _load_instance(instance_file)
         pattern_len = psi.pattern_length(instance.g)
         if pattern_len > gap.DEFAULT_MAX_TEXT_LEN:
@@ -199,9 +203,6 @@ def psi_build(instance_file: str, fmt: str) -> None:
                 f" over {gap.DEFAULT_MAX_TEXT_LEN}"
             )
         gadget = psi.reduce_psi(instance)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        _fail(str(exc))
-        return
     _emit("psi build", {"instance": instance_file}, gadget.to_json_obj(), started, fmt)
 
 
@@ -213,12 +214,9 @@ def psi_build(instance_file: str, fmt: str) -> None:
 def psi_verify(instance_file: str, max_text_len: int, fmt: str) -> None:
     """Run both oracles on an instance and compare."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         instance = _load_instance(instance_file)
         report = psi.verify_reduction(instance, max_text_len=max_text_len)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
-        _fail(str(exc))
-        return
     _emit("psi verify", {"instance": instance_file}, report.to_json_obj(), started, fmt)
     if not report.agree:
         click.echo("oracle disagreement", err=True)
@@ -239,14 +237,11 @@ def gap_group() -> None:
 def gap_build(pattern: str, text: str, epsilon: str, cap: int | None, fmt: str) -> None:
     """Run the full reduction (threshold branch or inflation)."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         pi = _load_permutation(pattern)
         tau = _load_permutation(text)
         eps = _parse_epsilon(epsilon)
         instance = gap.build_gap_instance(pi, tau, eps, max_text_len=cap)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
-        return
     _emit(
         "gap build",
         {"pattern": pi.to_text(), "text": tau.to_text(), "epsilon": str(eps)},
@@ -265,13 +260,10 @@ def gap_build(pattern: str, text: str, epsilon: str, cap: int | None, fmt: str) 
 def gap_core(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> None:
     """Run the inflation step alone with an explicit alpha."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         pi = _load_permutation(pattern)
         tau = _load_permutation(text)
         inflated_pattern, inflated_text = gap.build_core(pi, tau, alpha, max_text_len=cap)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
-        return
     _emit(
         "gap core",
         {"pattern": pi.to_text(), "text": tau.to_text(), "alpha": alpha},
@@ -295,13 +287,10 @@ def gap_core(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> 
 def gap_check_bounds(epsilon: str, k_: int, n_: str, fmt: str) -> None:
     """Verify the exact inequality chains at an above-threshold scale."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         eps = _parse_epsilon(epsilon)
         n = _parse_big_int(n_)
         report = gap.check_bounds(n, k_, eps)
-    except ValueError as exc:
-        _fail(str(exc))
-        return
     _emit(
         "gap check-bounds",
         {"epsilon": str(eps), "k": k_, "n": n_},
@@ -323,13 +312,10 @@ def gap_check_bounds(epsilon: str, k_: int, n_: str, fmt: str) -> None:
 def gap_verify(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> None:
     """Run the yes/no-case property battery on one desk-scale input."""
     started = time.perf_counter()
-    try:
+    with _usage_errors():
         pi = _load_permutation(pattern)
         tau = _load_permutation(text)
         report = gap.verify_core(pi, tau, alpha, max_text_len=cap)
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
-        return
     _emit(
         "gap verify",
         {"pattern": pi.to_text(), "text": tau.to_text(), "alpha": alpha},

@@ -2,8 +2,8 @@
 
 A permutation of length n is a sequence containing each value 1..n exactly
 once.  Permutations are viewed interchangeably as sequences and as point
-diagrams {(i, p_i)}; point sets with tied coordinates are turned back into
-permutations by :func:`reduce_points`, which resolves ties the way an
+diagrams {(i, p_i)}; points with tied coordinates are turned back into
+permutations by :func:`reduce_coordinates`, which resolves ties the way an
 infinitesimal clockwise rotation would.
 
 All values in this module are immutable and safe to share between threads.
@@ -114,7 +114,7 @@ class PointSet:
     """A finite set of distinct labeled points.
 
     Two points may share a single coordinate but never both; such ties are
-    resolved by :func:`reduce_points`.
+    resolved by :func:`reduce_coordinates`.
     """
 
     __slots__ = ("_points",)
@@ -175,31 +175,29 @@ def diagram(p: Permutation) -> PointSet:
 
 
 def reduce_coordinates(pairs: Sequence[tuple]) -> Permutation:
-    """Reduction of points given as (x_key, y_key) pairs of comparable keys.
-
-    Keys must be pairwise distinct along each axis; the caller is
-    responsible for encoding any tie-break rule into the keys.
-    """
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
-    by_y = sorted(range(len(pairs)), key=lambda i: pairs[i][1])
-    value = [0] * len(pairs)
-    for rank, i in enumerate(by_y, start=1):
-        value[i] = rank
-    return Permutation(value[i] for i in order)
-
-
-def reduce_points(points: PointSet | Iterable[Point]) -> Permutation:
-    """The unique permutation order-isomorphic to a point set.
+    """The unique permutation order-isomorphic to points given as (x, y) pairs.
 
     Tied coordinates are resolved as the limit of an infinitesimal
     clockwise rotation: horizontal order is ascending (x, y), vertical
-    order is ascending (y, -x).
+    order is ascending (y, -x).  Two equal pairs raise ValueError.
+
+    >>> reduce_coordinates([(1, 1), (2, 1)])
+    Permutation((2, 1))
+    """
+    by_y = sorted((y, -x) for x, y in pairs)
+    value = {(-neg_x, y): rank for rank, (y, neg_x) in enumerate(by_y, start=1)}
+    if len(value) != len(pairs):
+        raise ValueError("degenerate point set")
+    return Permutation(value[pair] for pair in sorted(pairs))
+
+
+def reduce_points(points: PointSet | Iterable[Point]) -> Permutation:
+    """:func:`reduce_coordinates` of the points' (x, y) pairs.
 
     >>> reduce_points([Point(1, 1), Point(2, 1)])
     Permutation((2, 1))
     """
-    pts = points.points if isinstance(points, PointSet) else PointSet(points).points
-    return reduce_coordinates([((p.x, p.y), (p.y, -p.x)) for p in pts])
+    return reduce_coordinates([(p.x, p.y) for p in points])
 
 
 def standardize(values: Sequence[int]) -> Permutation:

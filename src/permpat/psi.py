@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from permpat.core import Permutation, Point, PointSet, reduce_points
+from permpat.core import Permutation, Point, PointSet, reduce_coordinates
 from permpat.matching import contains_left_aligned
 
 DEFAULT_ORACLE_TEXT_CAP = 64
@@ -118,12 +118,6 @@ class RankTable:
     rank: tuple[int, ...]
     reverse_rank: tuple[int, ...]
 
-    def rank_of(self, vertex: int) -> int:
-        return self.rank[vertex - 1]
-
-    def reverse_rank_of(self, vertex: int) -> int:
-        return self.reverse_rank[vertex - 1]
-
 
 def ranks(instance: PsiInstance) -> RankTable:
     """Rank table of an instance, ordering each color class by vertex id."""
@@ -149,8 +143,8 @@ def _grid_points(
     unit_count: int,
     units: Sequence[tuple[int, int]],
     cell_rank_pairs: Iterable[tuple[int, int]],
-) -> PointSet:
-    """Shared grid builder.
+) -> list[tuple[int, int, str]]:
+    """Shared grid builder: the (x, y, role) tuples of one grid.
 
     ``units`` holds one (rank, reverse_rank) pair per encoded vertex, both
     1-based and each a permutation of 1..unit_count; ``cell_rank_pairs``
@@ -164,20 +158,17 @@ def _grid_points(
     """
     m = unit_count
     c = 2 * m
-    pts = [
-        Point(1, 2 * m + 2, "anchor"),
-        Point(2 * m + 2, 1, "anchor"),
-    ]
+    pts = [(1, 2 * m + 2, "anchor"), (2 * m + 2, 1, "anchor")]
     for a, b in units:
-        pts.append(Point(2 * b, 3 * a + c, "row_pair"))
-        pts.append(Point(2 * b + 1, 3 * a + c + 2, "row_pair"))
-        pts.append(Point(3 * a + c, 2 * b, "col_pair"))
-        pts.append(Point(3 * a + c + 2, 2 * b + 1, "col_pair"))
-        pts.append(Point(3 * a + c + 1, 3 * a + c + 1, "diagonal"))
+        pts.append((2 * b, 3 * a + c, "row_pair"))
+        pts.append((2 * b + 1, 3 * a + c + 2, "row_pair"))
+        pts.append((3 * a + c, 2 * b, "col_pair"))
+        pts.append((3 * a + c + 2, 2 * b + 1, "col_pair"))
+        pts.append((3 * a + c + 1, 3 * a + c + 1, "diagonal"))
     for a1, a2 in cell_rank_pairs:
-        pts.append(Point(3 * a1 + c + 1, 3 * a2 + c + 1, "cell"))
-        pts.append(Point(3 * a2 + c + 1, 3 * a1 + c + 1, "cell"))
-    return PointSet(pts)
+        pts.append((3 * a1 + c + 1, 3 * a2 + c + 1, "cell"))
+        pts.append((3 * a2 + c + 1, 3 * a1 + c + 1, "cell"))
+    return pts
 
 
 def pattern_length(g: Graph) -> int:
@@ -185,24 +176,20 @@ def pattern_length(g: Graph) -> int:
     return 2 + 5 * g.vertex_count + 2 * g.edge_count
 
 
+def _pattern_grid(g: Graph) -> list[tuple[int, int, str]]:
+    k = g.vertex_count
+    return _grid_points(k, [(i, i) for i in range(1, k + 1)], sorted(g.edges))
+
+
 def build_pattern_points(g: Graph) -> PointSet:
     """Grid encoding of the adjacency structure of G.
 
     Vertex i has rank i on both axes.  Total size 2 + 5k + 2|E_G|.
     """
-    k = g.vertex_count
-    units = [(i, i) for i in range(1, k + 1)]
-    return _grid_points(k, units, sorted(g.edges))
+    return PointSet(Point(*p) for p in _pattern_grid(g))
 
 
-def build_text_points(instance: PsiInstance) -> PointSet:
-    """Grid encoding of H laid out by color-class ranks.
-
-    Each H-vertex contributes a row pair, a column pair and a diagonal
-    point positioned by its (1-based) rank and reverse rank; each edge of H
-    with differently colored endpoints contributes two cell points.
-    Monochromatic edges contribute nothing.  Total size 2 + 5n + 2*m_bi.
-    """
+def _text_grid(instance: PsiInstance) -> list[tuple[int, int, str]]:
     table = ranks(instance)
     n = instance.h.vertex_count
     chi = instance.coloring
@@ -215,15 +202,37 @@ def build_text_points(instance: PsiInstance) -> PointSet:
     return _grid_points(n, units, cells)
 
 
+def build_text_points(instance: PsiInstance) -> PointSet:
+    """Grid encoding of H laid out by color-class ranks.
+
+    Each H-vertex contributes a row pair, a column pair and a diagonal
+    point positioned by its (1-based) rank and reverse rank; each edge of H
+    with differently colored endpoints contributes two cell points.
+    Monochromatic edges contribute nothing.  Total size 2 + 5n + 2*m_bi.
+    """
+    return PointSet(Point(*p) for p in _text_grid(instance))
+
+
 @dataclass(frozen=True)
 class PsiGadget:
-    """Pattern and text grids of a PSI instance, with their reductions."""
+    """The reduced pattern and text of a PSI instance.
 
-    pattern_points: PointSet
-    text_points: PointSet
+    The labeled grids behind them are rebuilt from the instance when
+    ``pattern_points`` or ``text_points`` is read.
+    """
+
+    instance: PsiInstance
     pattern: Permutation
     text: Permutation
     notes: tuple[str, ...] = ()
+
+    @property
+    def pattern_points(self) -> PointSet:
+        return build_pattern_points(self.instance.g)
+
+    @property
+    def text_points(self) -> PointSet:
+        return build_text_points(self.instance)
 
     def to_json_obj(self) -> dict:
         return {
@@ -242,16 +251,13 @@ def reduce_psi(instance: PsiInstance) -> PsiGadget:
     2 + 5n + 2*m_bi, where m_bi counts H-edges with differently colored
     endpoints.
     """
-    pattern_points = build_pattern_points(instance.g)
-    text_points = build_text_points(instance)
     notes = ()
     if instance.g.edge_count != instance.g.vertex_count:
         notes = ("pattern graph has |E| != |V|",)
     return PsiGadget(
-        pattern_points=pattern_points,
-        text_points=text_points,
-        pattern=reduce_points(pattern_points),
-        text=reduce_points(text_points),
+        instance=instance,
+        pattern=reduce_coordinates([p[:2] for p in _pattern_grid(instance.g)]),
+        text=reduce_coordinates([p[:2] for p in _text_grid(instance)]),
         notes=notes,
     )
 

@@ -177,6 +177,41 @@ class TestPsi:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: malformed instance")
 
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            *(
+                template.replace("X", number)
+                for number in ("1e400", "Infinity")
+                for template in (
+                    '{"G": {"k": X, "edges": []}, "H": {"n": 1, "edges": []}, "chi": [1]}',
+                    '{"G": {"k": 1, "edges": []}, "H": {"n": X, "edges": []}, "chi": [1]}',
+                    '{"G": {"k": 1, "edges": []}, "H": {"n": 1, "edges": []}, "chi": [X]}',
+                    '{"G": {"k": 2, "edges": [[1, X]]}, "H": {"n": 1, "edges": []}, "chi": [1]}',
+                )
+            ),
+            "[" * 200000,
+            '{"G":' * 5000,
+        ],
+        ids=[
+            f"{number}-{field}"
+            for number in ("1e400", "Infinity")
+            for field in ("k", "n", "chi", "edge")
+        ] + ["deep-list", "deep-object"],
+    )
+    def test_overflow_and_deep_nesting_are_parse_errors(self, runner, tmp_path, command, doc):
+        # OverflowError and RecursionError must not reach the user as a
+        # traceback with exit 1, which means "verification failed"
+        f = tmp_path / "bad.json"
+        f.write_text(doc)
+        res = run(runner, "psi", command, str(f))
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed instance")
+
 
 class TestGap:
     def test_core_frozen_example(self, runner):
@@ -197,6 +232,21 @@ class TestGap:
         res = run(runner, "gap", "build", "--pattern", "12", "--text", "21",
                   "--epsilon", "1/2")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("build", "--pattern", "12", "--text", "21"),
+            ("check-bounds", "--k", "1", "--n", "100"),
+        ],
+        ids=["build", "check-bounds"],
+    )
+    def test_zero_denominator_epsilon_is_parse_error(self, runner, args):
+        res = run(runner, "gap", *args, "--epsilon", "1/0")
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: epsilon '1/0' has a zero denominator"]
 
     def test_check_bounds_above_threshold(self, runner):
         res = run(runner, "gap", "check-bounds", "--epsilon", "2/5", "--k", "1",

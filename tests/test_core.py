@@ -114,6 +114,12 @@ class TestDiagramAndReduce:
         # clockwise limit: among equal y, the righter point ends up lower
         assert reduce_points([Point(1, 1), Point(2, 1)]) == Permutation.parse("21")
 
+    def test_reduce_rejects_coinciding_points(self):
+        with pytest.raises(ValueError, match="degenerate point set"):
+            reduce_coordinates([(1, 2), (3, 1), (1, 2)])
+        with pytest.raises(ValueError, match="degenerate point set"):
+            reduce_points([Point(1, 2), Point(1, 2, "anchor")])
+
     def test_round_trip_exhaustive_small(self):
         for n in range(8):
             for vals in itertools.permutations(range(1, n + 1)):

@@ -1,4 +1,5 @@
 """Gadget construction, rank table, oracles, and reduction correctness."""
+import hashlib
 import itertools
 import json
 import random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpat import psi
+from permpat import psi, selfcheck
 from permpat.core import colayered, reduce_points
 from permpat.matching import contains_left_aligned
 
@@ -226,6 +227,41 @@ class TestReducePsi:
         assert psi.reduce_psi(inst).notes == ()
         inst2 = psi.PsiInstance(psi.Graph(3), psi.Graph(1), (1,))
         assert psi.reduce_psi(inst2).notes != ()
+
+    def test_reduction_path_builds_no_points(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Point or PointSet built on the reduction path")
+
+        inst = psi.PsiInstance(
+            psi.Graph(3, [(1, 2), (2, 3)]), psi.Graph(4, [(1, 2), (3, 4), (1, 4)]), (1, 2, 3, 1)
+        )
+        expected = psi.reduce_psi(inst)
+        monkeypatch.setattr(psi, "Point", refuse)
+        monkeypatch.setattr(psi, "PointSet", refuse)
+        gadget = psi.reduce_psi(inst)
+        assert (gadget.pattern, gadget.text) == (expected.pattern, expected.text)
+        assert psi.verify_reduction(inst).agree
+
+    # sha256 of one line per instance of selfcheck's 500-instance quick
+    # sample, joined by newlines; the values were computed when the gadget
+    # still reduced Point objects through a PointSet
+    def test_quick_sample_permutations_pinned(self):
+        lines = []
+        for inst in selfcheck.psi_instances("quick"):
+            gadget = psi.reduce_psi(inst)
+            lines.append(f"{gadget.pattern.to_text()}|{gadget.text.to_text()}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "41a6e6303866a3dbbd2399d7ae753caa88cecf8acbbd0babc984eb9a440ed63b"
+        )
+
+    def test_quick_sample_dumps_pinned(self):
+        lines = [
+            json.dumps(psi.reduce_psi(inst).to_json_obj())
+            for inst in selfcheck.psi_instances("quick")
+        ]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "3f1554ff882c4776bf31df1ac3749b3a9a7cd00926cf37ef68e7b29556f7c030"
+        )
 
 
 class TestSolvePsi:

@@ -1,9 +1,10 @@
-/* Compiled matching kernels.
+/* Compiled matching kernels, and the parsing, validation and printing of
+ * permutations.
  *
  * Same contract as permpat/_kernels_py.py; permpat/_kernels.py builds this
  * file with the system C compiler and loads it through ctypes.  Values are
- * C longs (the item type of Python's array('l')); both functions return -1
- * when an allocation fails.
+ * C longs (the item type of Python's array('l')), which no function here
+ * modifies; every function that allocates returns -1 when that fails.
  *
  * Counts are long long.  Each step of the search adds at most n to the
  * count: one copy in the scan, or at most n copies from one range query of
@@ -11,6 +12,7 @@
  * 2^63 - 1 would thus take over 2^63 / 2048 > 4 * 10^15 steps first: it
  * cannot overflow in practice.
  */
+#include <limits.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -148,15 +150,133 @@ static long long merge_count(long *a, long *buf, long lo, long hi)
     return inv;
 }
 
-/* Number of pairs i < j with a[i] > a[j].  Sorts a in place. */
-long long count_inversions(long *a, long n)
+/* Number of pairs i < j with a[i] > a[j]; sorts a copy of a. */
+long long count_inversions(const long *a, long n)
 {
     if (n < 2)
         return 0;
-    long *buf = malloc((size_t)n * sizeof(long));
-    if (buf == NULL)
+    long *work = malloc(2 * (size_t)n * sizeof(long));
+    if (work == NULL)
         return -1;
-    long long inv = merge_count(a, buf, 0, n);
-    free(buf);
+    memcpy(work, a, (size_t)n * sizeof(long));
+    long long inv = merge_count(work, work + n, 0, n);
+    free(work);
     return inv;
+}
+
+/* 1 when a[0..n) holds each of 1..n exactly once, else 0: one pass with a
+ * bitmap of the values seen. */
+int is_permutation(const long *a, long n)
+{
+    unsigned long long *seen = calloc((size_t)n / 64 + 1, sizeof *seen);
+    if (seen == NULL)
+        return -1;
+    int ok = 1;
+    for (long i = 0; i < n && ok; i++) {
+        long v = a[i] - 1;
+        if (v < 0 || v >= n || (seen[v / 64] >> (v % 64) & 1))
+            ok = 0;
+        else
+            seen[v / 64] |= 1ULL << (v % 64);
+    }
+    free(seen);
+    return ok;
+}
+
+/* Tokens of at most this many digits fit a C long. */
+#if LONG_MAX >= 999999999999999999
+#define MAX_DIGITS 18
+#else
+#define MAX_DIGITS 9
+#endif
+
+/* The ASCII characters str.split() separates tokens on. */
+static int is_separator(unsigned char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r') || (c >= 0x1c && c <= 0x1f);
+}
+
+/* Number of tokens in s[0..len) when every token is 1 to MAX_DIGITS ASCII
+ * digits and every other byte is a separator; -1 otherwise, for the caller
+ * to parse s some other way. */
+long count_values(const char *s, long len)
+{
+    long count = 0, run = 0;
+    for (long i = 0; i < len; i++) {
+        unsigned char c = (unsigned char)s[i];
+        if (c >= '0' && c <= '9') {
+            if (run++ == 0)
+                count++;
+            if (run > MAX_DIGITS)
+                return -1;
+        } else if (is_separator(c)) {
+            run = 0;
+        } else {
+            return -1;
+        }
+    }
+    return count;
+}
+
+/* Writes the tokens of a text that count_values accepted to out. */
+void parse_values(const char *s, long len, long *out)
+{
+    long v = 0;
+    int in_token = 0;
+    for (long i = 0; i < len; i++) {
+        unsigned char c = (unsigned char)s[i];
+        if (c >= '0' && c <= '9') {
+            v = v * 10 + (c - '0');
+            in_token = 1;
+        } else if (in_token) {
+            *out++ = v;
+            v = 0;
+            in_token = 0;
+        }
+    }
+    if (in_token)
+        *out = v;
+}
+
+static unsigned long magnitude(long v)
+{
+    return v < 0 ? 0UL - (unsigned long)v : (unsigned long)v;
+}
+
+static int decimal_digits(unsigned long u)
+{
+    int d = 1;
+    while (u >= 10) {
+        u /= 10;
+        d++;
+    }
+    return d;
+}
+
+/* Length of the decimals of a[0..n) joined by single spaces. */
+long format_length(const long *a, long n)
+{
+    long len = n > 0 ? n - 1 : 0;
+    for (long i = 0; i < n; i++)
+        len += (a[i] < 0) + decimal_digits(magnitude(a[i]));
+    return len;
+}
+
+/* Writes the decimals of a[0..n) joined by single spaces to out, which has
+ * room for format_length(a, n) bytes. */
+void format_values(const long *a, long n, char *out)
+{
+    for (long i = 0; i < n; i++) {
+        if (i > 0)
+            *out++ = ' ';
+        if (a[i] < 0)
+            *out++ = '-';
+        unsigned long u = magnitude(a[i]);
+        int d = decimal_digits(u);
+        for (int j = d - 1; j >= 0; j--) {
+            out[j] = (char)('0' + u % 10);
+            u /= 10;
+        }
+        out += d;
+    }
 }

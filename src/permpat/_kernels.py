@@ -1,4 +1,4 @@
-"""Compiled matching kernels: ``_kernels.c`` loaded through ctypes.
+"""Compiled kernels: ``_kernels.c`` loaded through ctypes.
 
 Same contract as ``permpat._kernels_py``; selected at import time by
 ``permpat.backend`` when available.  The first import compiles the C
@@ -7,18 +7,28 @@ source with ``cc`` into the per-user cache,
 bytes, the compiler flags and the machine type; later imports only load
 it.  Importing raises ImportError when the build or the load fails, which
 leaves the pure-Python kernels in charge.
+
+Every function reads an ``array('l')`` argument in place and copies any
+other sequence into one first.  ``parse_values`` parses ASCII digits and
+separators in C and hands any other text to the pure-Python parser.
 """
 from __future__ import annotations
 
 import ctypes
 import os
 import zlib
-from array import array
+from array import ArrayType, array
 from typing import Sequence
+
+from permpat import _kernels_py
 
 BACKEND_NAME = "compiled"
 
-_FLAGS = ("-O2", "-shared", "-fPIC")
+# Functions start on 64-byte boundaries, so count_pattern's inner loops keep
+# their place within cache lines when code elsewhere in the file changes:
+# moving count_pattern by 16 bytes, with its code unchanged, once slowed the
+# kernel calls of the gap-verify benchmark by about 13% (x86-64, gcc -O2).
+_FLAGS = ("-O2", "-falign-functions=64", "-shared", "-fPIC")
 # ctypes wraps out-of-range integers silently: c_longlong(2**70) is 0
 _LLONG_MAX = 2**63 - 1
 
@@ -70,20 +80,33 @@ def _load() -> ctypes.CDLL:
             lib = ctypes.CDLL(path)
         except OSError as exc:
             raise ImportError(f"loading the compiled kernels failed: {exc}") from exc
-    try:
-        count_pattern, count_inversions = lib.count_pattern, lib.count_inversions
-    except AttributeError as exc:
-        raise ImportError(f"the compiled kernels lack a function: {exc}") from exc
-    count_pattern.argtypes = (
-        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_int, ctypes.c_longlong,
-    )
-    count_pattern.restype = ctypes.c_longlong
-    count_inversions.argtypes = (ctypes.c_void_p, ctypes.c_long)
-    count_inversions.restype = ctypes.c_longlong
+    c_long, c_void_p = ctypes.c_long, ctypes.c_void_p
+    signatures = {
+        "count_pattern": (ctypes.c_longlong, (c_void_p, c_long, c_void_p, c_long, ctypes.c_int, ctypes.c_longlong)),
+        "count_inversions": (ctypes.c_longlong, (c_void_p, c_long)),
+        "is_permutation": (ctypes.c_int, (c_void_p, c_long)),
+        "count_values": (c_long, (ctypes.c_char_p, c_long)),
+        "parse_values": (None, (ctypes.c_char_p, c_long, c_void_p)),
+        "format_length": (c_long, (c_void_p, c_long)),
+        "format_values": (None, (c_void_p, c_long, c_void_p)),
+    }
+    for name, (restype, argtypes) in signatures.items():
+        try:
+            fn = getattr(lib, name)
+        except AttributeError as exc:
+            raise ImportError(f"the compiled kernels lack a function: {exc}") from exc
+        fn.restype, fn.argtypes = restype, argtypes
     return lib
 
 
 _lib = _load()
+
+
+def _packed(values: Sequence[int]) -> array:
+    """values itself when it is an array('l'), else a copy into one."""
+    if isinstance(values, ArrayType) and values.typecode == "l":
+        return values
+    return array("l", values)
 
 
 def count_pattern(
@@ -106,8 +129,8 @@ def count_pattern(
         raise ValueError("empty pattern")
     if k > n:
         return 0
-    pat = array("l", pattern)
-    txt = array("l", text)
+    pat = _packed(pattern)
+    txt = _packed(text)
     total = _lib.count_pattern(
         pat.buffer_info()[0], k, txt.buffer_info()[0], n, bool(pin_first),
         max(-_LLONG_MAX, min(limit, _LLONG_MAX)),
@@ -119,8 +142,41 @@ def count_pattern(
 
 def count_inversions(values: Sequence[int]) -> int:
     """Number of pairs i < j with values[i] > values[j], by merge counting."""
-    vals = array("l", values)
+    vals = _packed(values)
     inv = _lib.count_inversions(vals.buffer_info()[0], len(vals))
     if inv < 0:
         raise MemoryError()
     return inv
+
+
+def is_permutation(values: Sequence[int]) -> bool:
+    """Whether values holds each of 1..len(values) exactly once."""
+    vals = _packed(values)
+    ok = _lib.is_permutation(vals.buffer_info()[0], len(vals))
+    if ok < 0:
+        raise MemoryError()
+    return bool(ok)
+
+
+def parse_values(text: str) -> array:
+    """The whitespace-separated integers of text, as ``int`` reads each one."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return _kernels_py.parse_values(text)
+    count = _lib.count_values(raw, len(raw))
+    if count < 0:  # signs, underscores, tokens of 19 or more digits
+        return _kernels_py.parse_values(text)
+    vals = array("l", [0]) * count
+    _lib.parse_values(raw, len(raw), vals.buffer_info()[0])
+    return vals
+
+
+def format_values(values: Sequence[int]) -> str:
+    """The decimals of values joined by single spaces."""
+    vals = _packed(values)
+    address, n = vals.buffer_info()
+    out = bytearray(_lib.format_length(address, n))
+    if out:
+        _lib.format_values(address, n, ctypes.addressof(ctypes.c_char.from_buffer(out)))
+    return out.decode("ascii")

@@ -1,17 +1,18 @@
-"""Pure-Python matching kernels.
+"""Pure-Python kernels.
 
 Fallback used when the compiled extension is unavailable; same contract as
-``permpat._kernels``.  Both kernels operate on raw integer sequences so the
+``permpat._kernels``.  The kernels operate on raw integer sequences so the
 hot loops stay free of object overhead.
 """
 from __future__ import annotations
 
+from array import array
 from typing import Sequence
 
 BACKEND_NAME = "pure-python"
 
 
-def order_constraints(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
+def _order_constraints(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
     """For each pattern position, the earlier positions carrying the tightest
     value bounds: pred[j] holds the position of the largest smaller value,
     succ[j] the position of the smallest larger value (-1 when absent).
@@ -53,7 +54,10 @@ def count_pattern(
         raise ValueError("empty pattern")
     if k > n:
         return 0
-    pred, succ = order_constraints(pattern)
+    # a list hands out the int objects it holds; an array('l') would build
+    # a new one on every read past 256
+    pattern, text = list(pattern), list(text)
+    pred, succ = _order_constraints(pattern)
     val = [0] * k
     idx = [0] * k
     total = 0
@@ -118,3 +122,23 @@ def count_inversions(values: Sequence[int]) -> int:
     """Number of pairs i < j with values[i] > values[j], by merge counting."""
     vals = list(values)
     return _merge_count(vals, [0] * len(vals), 0, len(vals))
+
+
+def is_permutation(values: Sequence[int]) -> bool:
+    """Whether values holds each of 1..len(values) exactly once: n distinct
+    values, all in 1..n."""
+    n = len(values)
+    return n == 0 or (min(values) >= 1 and max(values) <= n and len(set(values)) == n)
+
+
+def parse_values(text: str) -> array:
+    """The whitespace-separated integers of text, as ``int`` reads each one.
+
+    A token outside the range of a C long raises OverflowError.
+    """
+    return array("l", map(int, text.split()))
+
+
+def format_values(values: Sequence[int]) -> str:
+    """The decimals of values joined by single spaces."""
+    return " ".join(map(str, values))

@@ -22,5 +22,8 @@ else:
 
 count_pattern = _impl.count_pattern
 count_inversions = _impl.count_inversions
+is_permutation = _impl.is_permutation
+parse_values = _impl.parse_values
+format_values = _impl.format_values
 
 BACKEND_NAME: str = _impl.BACKEND_NAME

@@ -31,6 +31,21 @@ def _load_permutation(value: str) -> Permutation:
 
 
 def _parse_epsilon(value: str) -> Fraction:
+    """P/Q or a decimal, strictly between 0 and 1/2.
+
+    A decimal exponent is bounded before Fraction expands it into a power
+    of ten: the numerator and the denominator have at most len(mantissa) +
+    |exponent| digits, which must stay within Python's int-to-str limit.
+    """
+    mantissa, marker, exponent = value.lower().partition("e")
+    if marker:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        try:
+            too_long = abs(int(exponent)) + len(mantissa) > limit
+        except ValueError:  # not a decimal exponent: Fraction reports the literal
+            too_long = False
+        if too_long:
+            raise ValueError(f"epsilon's decimal exponent would give it more than {limit} digits")
     try:
         eps = Fraction(value)
     except ZeroDivisionError:

@@ -10,8 +10,11 @@ All values in this module are immutable and safe to share between threads.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+from permpat import backend
 
 ROLES = frozenset({"anchor", "row_pair", "col_pair", "diagonal", "cell", "plain"})
 
@@ -19,23 +22,47 @@ ROLES = frozenset({"anchor", "row_pair", "col_pair", "diagonal", "cell", "plain"
 class Permutation:
     """An immutable permutation of 1..n in one-line notation.
 
+    The values are stored once, packed in an ``array('l')`` that the kernels
+    read in place; ``values`` builds a tuple from it on each read.
+
     >>> p = Permutation((2, 4, 1, 5, 3))
     >>> len(p), p[0], p.values
     (5, 2, (2, 4, 1, 5, 3))
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_packed",)
 
     def __init__(self, values: Iterable[int]):
-        vals = tuple(int(v) for v in values)
-        n = len(vals)
-        if sorted(vals) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on 1..{n}: {vals}")
-        object.__setattr__(self, "_values", vals)
+        # array() fills from a list or tuple at its length in one step, but
+        # grows one item at a time from any other iterable
+        seq = values if isinstance(values, (list, tuple)) else list(values)
+        try:
+            try:
+                packed = array("l", seq)
+            except TypeError:  # floats, strings: whatever int() accepts
+                packed = array("l", map(int, seq))
+        except OverflowError:
+            raise ValueError(_OUTSIDE_C_LONG) from None
+        self._adopt(packed)
+
+    def _adopt(self, packed: array) -> None:
+        """Take packed, which nothing else holds, as this permutation's values."""
+        if not backend.is_permutation(packed):
+            raise ValueError(_bijection_error(packed))
+        object.__setattr__(self, "_packed", packed)
 
     @property
     def values(self) -> tuple[int, ...]:
-        return self._values
+        return tuple(self._packed)
+
+    @property
+    def packed(self) -> array:
+        """The values as the ``array('l')`` they are stored in, not a copy.
+
+        For reading only, as by the kernels: a change to it would change
+        this permutation.
+        """
+        return self._packed
 
     @classmethod
     def parse(cls, text: str) -> "Permutation":
@@ -45,12 +72,16 @@ class Permutation:
         all-digit token of length > 1 is read as a digit string ("24153"),
         which is only expressible for lengths up to 9.
         """
-        tokens = text.split()
-        if not tokens:
-            return cls(())
-        if len(tokens) == 1 and tokens[0].isdigit() and len(tokens[0]) > 1:
-            return cls(int(ch) for ch in tokens[0])
-        return cls(int(t) for t in tokens)
+        head = text.split(None, 1)
+        if len(head) == 1 and head[0].isdigit() and len(head[0]) > 1:
+            return cls(int(ch) for ch in head[0])
+        try:
+            packed = backend.parse_values(text)
+        except OverflowError:
+            raise ValueError(_OUTSIDE_C_LONG) from None
+        perm = cls.__new__(cls)
+        perm._adopt(packed)
+        return perm
 
     @classmethod
     def increasing(cls, n: int) -> "Permutation":
@@ -61,40 +92,58 @@ class Permutation:
         return cls(range(n, 0, -1))
 
     def to_text(self) -> str:
-        return " ".join(str(v) for v in self._values)
+        return backend.format_values(self._packed)
 
     def reverse(self) -> "Permutation":
-        return Permutation(reversed(self._values))
+        return Permutation(reversed(self._packed))
 
     def complement(self) -> "Permutation":
-        n = len(self._values)
-        return Permutation(n + 1 - v for v in self._values)
+        n = len(self._packed)
+        return Permutation(n + 1 - v for v in self._packed)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._packed)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._values)
+        return iter(self._packed)
 
-    def __getitem__(self, position: int) -> int:
-        return self._values[position]
+    def __getitem__(self, position: int | slice) -> int | tuple[int, ...]:
+        if isinstance(position, slice):
+            return tuple(self._packed[position])
+        return self._packed[position]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Permutation):
             return NotImplemented
-        return self._values == other._values
+        return self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash(self.values)
 
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
-        return f"Permutation({self._values!r})"
+        return f"Permutation({self.values!r})"
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+
+_OUTSIDE_C_LONG = "not a bijection on 1..n: a value lies outside the range of a C long"
+
+
+def _bijection_error(values: Sequence[int]) -> str:
+    """Why values is not a bijection on 1..n, naming only its first value
+    that is out of range or repeats an earlier one."""
+    n = len(values)
+    seen = bytearray(n + 1)
+    for position, v in enumerate(values, start=1):
+        if not 1 <= v <= n or seen[v]:
+            break
+        seen[v] = 1
+    reason = "repeats" if 1 <= v <= n else "is out of range"
+    return f"not a bijection on 1..{n}: value {v} at position {position} {reason}"
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def contains(pi: Permutation, tau: Permutation) -> bool:
     _require_pattern(pi)
     if len(pi) > len(tau):
         return False
-    return backend.count_pattern(pi.values, tau.values, limit=1) > 0
+    return backend.count_pattern(pi.packed, tau.packed, limit=1) > 0
 
 
 def contains_left_aligned(pi: Permutation, tau: Permutation) -> bool:
@@ -58,7 +58,7 @@ def contains_left_aligned(pi: Permutation, tau: Permutation) -> bool:
     _require_nonempty(pi, tau)
     if len(pi) > len(tau):
         return False
-    return backend.count_pattern(pi.values, tau.values, pin_first=True, limit=1) > 0
+    return backend.count_pattern(pi.packed, tau.packed, pin_first=True, limit=1) > 0
 
 
 def count_copies(pi: Permutation, tau: Permutation) -> BigCount:
@@ -66,7 +66,7 @@ def count_copies(pi: Permutation, tau: Permutation) -> BigCount:
     _require_pattern(pi)
     if len(pi) > len(tau):
         return 0
-    return backend.count_pattern(pi.values, tau.values)
+    return backend.count_pattern(pi.packed, tau.packed)
 
 
 def count_copies_naive(pi: Permutation, tau: Permutation) -> BigCount:
@@ -95,7 +95,7 @@ def count_left_aligned(pi: Permutation, tau: Permutation) -> BigCount:
     _require_nonempty(pi, tau)
     if len(pi) > len(tau):
         return 0
-    return backend.count_pattern(pi.values, tau.values, pin_first=True)
+    return backend.count_pattern(pi.packed, tau.packed, pin_first=True)
 
 
 def count_left_aligned_by_difference(pi: Permutation, tau: Permutation) -> BigCount:
@@ -112,7 +112,7 @@ def count_left_aligned_by_difference(pi: Permutation, tau: Permutation) -> BigCo
 
 def count_inversions(tau: Permutation) -> BigCount:
     """Number of inversions, i.e. copies of 2 1; O(n log n) merge counting."""
-    return backend.count_inversions(tau.values)
+    return backend.count_inversions(tau.packed)
 
 
 def approx_count(pi: Permutation, tau: Permutation) -> BigCount:

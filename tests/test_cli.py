@@ -97,6 +97,20 @@ class TestCount:
             "error: estimate has 9248 decimal digits, over the 4300-digit output limit"
         ]
 
+    def test_repeated_value_in_a_million_is_one_short_error_line(self, runner, tmp_path):
+        # the message names the first offending position, not the whole text
+        values = list(range(1, 10**6 + 1))
+        values[-1] = 17
+        f = tmp_path / "dup.txt"
+        f.write_text(" ".join(map(str, values)))
+        res = run(runner, "count", "--mode", "inversions", "--text", f"@{f}")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: not a bijection on 1..1000000: value 17 at position 1000000 repeats"
+        ]
+        assert len(res.stderr.encode()) < 200
+
     def test_counts_are_decimal_strings(self, runner):
         res = run(runner, "count", "--pattern", "12", "--text", " ".join(map(str, range(1, 31))))
         assert payload(res)["result"]["count"] == str(30 * 29 // 2)
@@ -247,6 +261,33 @@ class TestGap:
         assert isinstance(res.exception, SystemExit)
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: epsilon '1/0' has a zero denominator"]
+
+    @pytest.mark.parametrize("epsilon", ["1e-5000", "1e-3000000", "1e-10000000"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("build", "--pattern", "12", "--text", "21"),
+            ("check-bounds", "--k", "1", "--n", "100"),
+        ],
+        ids=["build", "check-bounds"],
+    )
+    def test_epsilon_exponent_refused_at_once(self, args, epsilon):
+        # Fraction spends about 7 s expanding 10^3000000 and 50 s on
+        # 10^10000000, and the echo of 1/10^5000 is past the int-to-str limit
+        src = os.path.dirname(os.path.dirname(sys.modules["permpat"].__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpat.cli", "gap", *args, "--epsilon", epsilon],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+    def test_epsilon_exponent_within_the_limit(self, runner):
+        res = run(runner, "gap", "build", "--pattern", "12", "--text", "21", "--epsilon", "1e-4000")
+        assert res.exit_code == 0
+        assert payload(res)["inputs"]["epsilon"] == "1/1" + "0" * 4000
 
     def test_check_bounds_above_threshold(self, runner):
         res = run(runner, "gap", "check-bounds", "--epsilon", "2/5", "--k", "1",

@@ -46,6 +46,37 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1, 3, 3), "value 3 at position 3 repeats"),
+            ((2, 0, 1), "value 0 at position 2 is out of range"),
+            ((4, 1, 1), "value 4 at position 1 is out of range"),
+            ((1, 2, -4, 4), "value -4 at position 3 is out of range"),
+        ],
+    )
+    def test_error_names_only_the_first_offence(self, bad, message):
+        n = len(bad)
+        with pytest.raises(ValueError) as err:
+            Permutation(bad)
+        assert str(err.value) == f"not a bijection on 1..{n}: {message}"
+
+    def test_values_outside_a_c_long_rejected(self):
+        for make in (lambda: Permutation((2**70, 1)), lambda: Permutation.parse("1 " + "9" * 30)):
+            with pytest.raises(ValueError, match="not a bijection"):
+                make()
+
+    def test_accepts_whatever_int_accepts(self):
+        assert Permutation(["2", 1.0]).values == (2, 1)
+        assert Permutation(iter((2, 3, 1))).values == (2, 3, 1)
+
+    def test_sequence_behaviour(self):
+        p = Permutation.parse("2 4 1 5 3")
+        assert hash(p) == hash((2, 4, 1, 5, 3))
+        assert p == Permutation((2, 4, 1, 5, 3)) and p != Permutation.parse("21")
+        assert list(p) == [2, 4, 1, 5, 3] and p[-1] == 3 and p[1:3] == (4, 1)
+        assert repr(p) == "Permutation((2, 4, 1, 5, 3))"
+
     def test_parse_whitespace_form(self):
         assert Permutation.parse("2 4 1 5 3").values == (2, 4, 1, 5, 3)
         assert Permutation.parse(" 1 ").values == (1,)

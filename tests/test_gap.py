@@ -297,9 +297,10 @@ class TestKernelCalls:
         calls = []
         real = backend.count_pattern
 
-        def counted(*args, **kwargs):
-            calls.append((args, tuple(sorted(kwargs.items()))))
-            return real(*args, **kwargs)
+        def counted(pattern, text, *args, **kwargs):
+            # the kernels get the permutations' packed arrays: record them as tuples
+            calls.append(((tuple(pattern), tuple(text), *args), tuple(sorted(kwargs.items()))))
+            return real(pattern, text, *args, **kwargs)
 
         monkeypatch.setattr(backend, "count_pattern", counted)
         assert matching.count_left_aligned(P("213"), P("24153")) == 2

@@ -1,11 +1,14 @@
 """Compiled and pure kernels implement the same contract."""
 import gc
+import inspect
 import itertools
+import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+from array import array
 from math import comb
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpat import _kernels_py
+from permpat import _kernels_py, backend, matching
+from permpat.core import Permutation
 
 try:
     from permpat import _kernels
@@ -22,6 +26,8 @@ except ImportError:
     KERNELS = [_kernels_py]
 
 IDS = [k.BACKEND_NAME for k in KERNELS]
+
+KERNEL_API = {"count_pattern", "count_inversions", "is_permutation", "parse_values", "format_values"}
 
 
 def naive_count(pattern, text, pin_first=False):
@@ -123,6 +129,96 @@ class TestCountInversions:
             gc.enable()
 
 
+def public_functions(module):
+    return {
+        name
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_")
+    }
+
+
+class TestContract:
+    def test_backends_define_the_same_public_functions(self):
+        for module in KERNELS:
+            assert public_functions(module) == KERNEL_API, module.__name__
+
+    def test_backend_reexports_each_function(self):
+        for name in KERNEL_API:
+            assert getattr(backend, name) is getattr(backend._impl, name)
+
+    def test_kernels_leave_the_passed_arrays_unchanged(self, kernel):
+        pattern = array("l", (2, 1, 3))
+        text = array("l", (5, 3, 6, 1, 4, 2, 7))
+        assert kernel.count_pattern(pattern, text) == naive_count(pattern, text)
+        assert kernel.count_pattern(pattern, text, True, 1) == 1
+        assert kernel.count_inversions(text) == 10
+        assert (pattern.tolist(), text.tolist()) == ([2, 1, 3], [5, 3, 6, 1, 4, 2, 7])
+
+    def test_parse_and_format(self, kernel):
+        assert kernel.parse_values(" 2\t4 1\n5\x1c3 ") == array("l", (2, 4, 1, 5, 3))
+        assert kernel.parse_values("") == array("l")
+        assert kernel.parse_values("+5 007 1_0 -3 \u0663") == array("l", (5, 7, 10, -3, 3))
+        with pytest.raises(ValueError):
+            kernel.parse_values("1 x")
+        with pytest.raises(OverflowError):
+            kernel.parse_values("1 " + "9" * 19)
+        assert kernel.format_values(array("l", (2, -4, 0, 10))) == "2 -4 0 10"
+        assert kernel.format_values(array("l")) == ""
+
+    def test_is_permutation(self, kernel):
+        assert kernel.is_permutation(array("l"))
+        assert kernel.is_permutation(array("l", (2, 4, 1, 5, 3)))
+        for bad in ((1, 1), (2,), (0, 1), (1, 3), (-1, 1), (2, 1, 2)):
+            assert not kernel.is_permutation(array("l", bad))
+
+
+@pytest.mark.skipif(backend.BACKEND_NAME != "compiled", reason="compiled kernels not in use")
+def test_compiled_path_makes_no_per_element_python_pass(monkeypatch):
+    # the pure fallbacks, and a copy into a fresh array, would each convert
+    # every element between a Python int and a C long
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-element Python pass on the compiled path")
+
+    values = list(range(1, 301))
+    random.Random(5).shuffle(values)
+    inversions = _kernels.count_inversions(values)
+    copies = _kernels.count_pattern((2, 3, 1), values)
+    for name in ("parse_values", "is_permutation", "format_values"):
+        monkeypatch.setattr(_kernels_py, name, refuse)
+    separators = itertools.cycle([" ", "\t", "\n", "\r\n", "  ", "\x1c", "\x1f"])
+    tau = Permutation.parse("".join(f"{next(separators)}{v}" for v in values))
+    pi = Permutation.parse("2 3 1")
+    assert tau.to_text() == " ".join(map(str, values))
+    monkeypatch.setattr(_kernels, "array", refuse)
+    assert matching.count_inversions(tau) == inversions
+    assert matching.count_copies(pi, tau) == copies
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the ValueError or OverflowError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+C_LONG = st.integers(-(2**63), 2**63 - 1)
+# what str.split() and int() make of each matters: ASCII and other
+# separators, signs, leading zeros, underscores, non-ASCII digits, tokens of
+# 19 or more digits and past the range of a C long
+TOKENS = st.sampled_from([
+    " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2028",
+    "0", "7", "12", "007", "+5", "-3", "-0", "1_0", "_1", "1__0", "\u0663", "\xb2", "\uff11",
+    "9" * 18, "9" * 19, "1" + "0" * 18, str(2**63 - 1), str(2**63), str(-(2**63)), "0" * 25 + "1",
+    "x", "1e3", "\x00",
+])
+# texts the compiled parser reads itself, without the pure fallback
+ASCII_TEXTS = st.lists(
+    st.sampled_from([" ", "\t", "\n", "\x1c", "\x1f", "0", "7", "12", "007", "9" * 18]), max_size=12
+).map("".join)
+TEXTS = st.one_of(ASCII_TEXTS, st.lists(TOKENS, max_size=12).map("".join), st.text(max_size=30))
+
+
 @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernels not built")
 class TestBackendsAgree:
     def test_counts_agree_randomized(self):
@@ -191,6 +287,28 @@ class TestBackendsAgree:
             comb(s, 2) for s in sizes[1:]
         )
 
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(text=TEXTS)
+    def test_parse_values_property(self, text):
+        assert outcome(_kernels.parse_values, text) == outcome(_kernels_py.parse_values, text)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=st.one_of(
+        st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.lists(st.integers(-2, 12), max_size=12),
+        st.lists(C_LONG, max_size=4),
+    ))
+    def test_is_permutation_property(self, values):
+        packed = array("l", values)
+        expected = sorted(values) == list(range(1, len(values) + 1))
+        assert _kernels.is_permutation(packed) is _kernels_py.is_permutation(packed) is expected
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=st.lists(st.one_of(st.integers(-12, 12), C_LONG), max_size=12))
+    def test_format_values_property(self, values):
+        packed = array("l", values)
+        assert _kernels.format_values(packed) == _kernels_py.format_values(packed) == " ".join(map(str, values))
+
     def test_changed_source_byte_changes_library_path(self):
         source = Path(_kernels.__file__).with_name("_kernels.c").read_bytes()
         mid = len(source) // 2
@@ -198,12 +316,23 @@ class TestBackendsAgree:
         assert _kernels._library_path(changed) != _kernels._library_path(source)
 
 
-PROBE = (
-    "import permpat; from permpat import Permutation as P;"
-    "print(permpat.BACKEND_NAME,"
-    " permpat.count_copies(P((3, 1, 2)), P((2, 4, 1, 5, 3, 7, 6))),"
-    " permpat.count_inversions(P((2, 4, 1, 5, 3, 7, 6))))"
-)
+PROBE = """
+import json, permpat
+from permpat import Permutation as P
+tau = P.parse("2\\t4 1\\n5 3 7 6")
+try:
+    P.parse("2 4 1 5 3 7 2")
+    refused = None
+except ValueError as exc:
+    refused = str(exc)
+print(json.dumps({
+    "backend": permpat.BACKEND_NAME,
+    "copies": permpat.count_copies(P((3, 1, 2)), tau),
+    "inversions": permpat.count_inversions(tau),
+    "text": tau.to_text(),
+    "refused": refused,
+}))
+"""
 
 
 def import_fresh(tmp_path, path):
@@ -216,11 +345,13 @@ def import_fresh(tmp_path, path):
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    backend, copies, inversions = proc.stdout.split()
+    report = json.loads(proc.stdout)
     text = (2, 4, 1, 5, 3, 7, 6)
-    assert int(copies) == _kernels_py.count_pattern((3, 1, 2), text)
-    assert int(inversions) == _kernels_py.count_inversions(text)
-    return backend, sorted((tmp_path / "cache").rglob("*.so"))
+    assert report["copies"] == _kernels_py.count_pattern((3, 1, 2), text)
+    assert report["inversions"] == _kernels_py.count_inversions(text)
+    assert report["text"] == "2 4 1 5 3 7 6"
+    assert report["refused"] == "not a bijection on 1..7: value 2 at position 7 repeats"
+    return report["backend"], sorted((tmp_path / "cache").rglob("*.so"))
 
 
 class TestKernelBuild:
@@ -235,6 +366,7 @@ class TestKernelBuild:
         assert proc.returncode == 0, proc.stderr
 
     def test_without_compiler_falls_back_to_pure(self, tmp_path):
+        # the probe also parses, prints and validates a text on that backend
         no_cc = tmp_path / "bin"
         no_cc.mkdir()
         backend, libraries = import_fresh(tmp_path, str(no_cc))

@@ -9,15 +9,11 @@ each cross-checked against brute-force oracles at small scale.
 from permpat.backend import BACKEND_NAME
 from permpat.core import (
     Permutation,
-    Point,
-    PointSet,
     colayered,
     deflate,
     delete_leftmost,
-    diagram,
     inflate,
     layered,
-    reduce_points,
     standardize,
 )
 from permpat.gap import (
@@ -45,8 +41,6 @@ from permpat.psi import (
     PsiGadget,
     PsiInstance,
     RankTable,
-    build_pattern_points,
-    build_text_points,
     ranks,
     reduce_psi,
     solve_psi_bruteforce,
@@ -61,16 +55,12 @@ __all__ = [
     "GapParams",
     "Graph",
     "Permutation",
-    "Point",
-    "PointSet",
     "PsiGadget",
     "PsiInstance",
     "RankTable",
     "approx_count",
     "build_core",
     "build_gap_instance",
-    "build_pattern_points",
-    "build_text_points",
     "check_bounds",
     "colayered",
     "contains",
@@ -83,12 +73,10 @@ __all__ = [
     "decide_via_approx",
     "deflate",
     "delete_leftmost",
-    "diagram",
     "gap_params",
     "inflate",
     "layered",
     "ranks",
-    "reduce_points",
     "reduce_psi",
     "solve_psi_bruteforce",
     "standardize",

@@ -7,30 +7,35 @@ hot loops stay free of object overhead.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Sequence
 
 BACKEND_NAME = "pure-python"
 
 
 def _order_constraints(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
-    """For each pattern position, the earlier positions carrying the tightest
-    value bounds: pred[j] holds the position of the largest smaller value,
-    succ[j] the position of the smallest larger value (-1 when absent).
+    """For each position of a pattern of distinct values, the earlier
+    positions carrying the tightest value bounds: pred[j] holds the position
+    of the largest smaller value, succ[j] the position of the smallest
+    larger value (-1 when absent).
+
+    Both neighbours of pattern[j] are found by bisection in a sorted list of
+    the earlier values: O(k log k) comparisons, and one list insertion (a
+    memmove) per position.
     """
     k = len(pattern)
     pred = [-1] * k
     succ = [-1] * k
-    for j in range(k):
-        lo, hi = 0, k + 1
-        pj = pattern[j]
-        for p in range(j):
-            pp = pattern[p]
-            if lo < pp < pj:
-                lo = pp
-                pred[j] = p
-            elif pj < pp < hi:
-                hi = pp
-                succ[j] = p
+    earlier: list[int] = []
+    position: dict[int, int] = {}
+    for j, pj in enumerate(pattern):
+        r = bisect_left(earlier, pj)
+        if r:
+            pred[j] = position[earlier[r - 1]]
+        if r < len(earlier):
+            succ[j] = position[earlier[r]]
+        earlier.insert(r, pj)
+        position[pj] = j
     return pred, succ
 
 

@@ -1,22 +1,20 @@
-"""Permutations as sequences and as planar point diagrams.
+"""Permutations, the ranking of point sets, and inflation.
 
 A permutation of length n is a sequence containing each value 1..n exactly
-once.  Permutations are viewed interchangeably as sequences and as point
-diagrams {(i, p_i)}; points with tied coordinates are turned back into
-permutations by :func:`reduce_coordinates`, which resolves ties the way an
-infinitesimal clockwise rotation would.
+once.  Read as the point diagram {(i, p_i)}, it is the unique permutation
+order-isomorphic to any point set with the same relative order:
+:func:`reduce_coordinates` ranks such a set, given as (x, y) pairs, back into
+a permutation, resolving tied coordinates the way an infinitesimal clockwise
+rotation would.
 
 All values in this module are immutable and safe to share between threads.
 """
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from permpat import backend
-
-ROLES = frozenset({"anchor", "row_pair", "col_pair", "diagonal", "cell", "plain"})
 
 
 class Permutation:
@@ -146,83 +144,6 @@ def _bijection_error(values: Sequence[int]) -> str:
     return f"not a bijection on 1..{n}: value {v} at position {position} {reason}"
 
 
-@dataclass(frozen=True)
-class Point:
-    """A labeled planar point with integer coordinates."""
-
-    x: int
-    y: int
-    role: str = "plain"
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise ValueError(f"unknown point role: {self.role!r}")
-
-
-class PointSet:
-    """A finite set of distinct labeled points.
-
-    Two points may share a single coordinate but never both; such ties are
-    resolved by :func:`reduce_coordinates`.
-    """
-
-    __slots__ = ("_points",)
-
-    def __init__(self, points: Iterable[Point]):
-        pts = tuple(points)
-        seen = set()
-        for p in pts:
-            if (p.x, p.y) in seen:
-                raise ValueError("degenerate point set")
-            seen.add((p.x, p.y))
-        object.__setattr__(self, "_points", pts)
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return self._points
-
-    def with_role(self, role: str) -> tuple[Point, ...]:
-        return tuple(p for p in self._points if p.role == role)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self._points)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return sorted((p.x, p.y, p.role) for p in self._points) == sorted(
-            (p.x, p.y, p.role) for p in other._points
-        )
-
-    def __repr__(self) -> str:
-        return f"PointSet({len(self._points)} points)"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSet is immutable")
-
-    def to_json_obj(self) -> dict:
-        return {"points": [{"x": p.x, "y": p.y, "role": p.role} for p in self._points]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PointSet":
-        return cls(
-            Point(int(rec["x"]), int(rec["y"]), rec.get("role", "plain"))
-            for rec in obj["points"]
-        )
-
-
-def diagram(p: Permutation) -> PointSet:
-    """The diagram {(i, p_i)} of a permutation, with all roles plain.
-
-    >>> [(pt.x, pt.y) for pt in diagram(Permutation.parse("24153"))]
-    [(1, 2), (2, 4), (3, 1), (4, 5), (5, 3)]
-    """
-    return PointSet(Point(i, v) for i, v in enumerate(p.values, start=1))
-
-
 def reduce_coordinates(pairs: Sequence[tuple]) -> Permutation:
     """The unique permutation order-isomorphic to points given as (x, y) pairs.
 
@@ -238,15 +159,6 @@ def reduce_coordinates(pairs: Sequence[tuple]) -> Permutation:
     if len(value) != len(pairs):
         raise ValueError("degenerate point set")
     return Permutation(value[pair] for pair in sorted(pairs))
-
-
-def reduce_points(points: PointSet | Iterable[Point]) -> Permutation:
-    """:func:`reduce_coordinates` of the points' (x, y) pairs.
-
-    >>> reduce_points([Point(1, 1), Point(2, 1)])
-    Permutation((2, 1))
-    """
-    return reduce_coordinates([(p.x, p.y) for p in points])
 
 
 def standardize(values: Sequence[int]) -> Permutation:

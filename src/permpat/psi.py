@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from permpat.core import Permutation, Point, PointSet, reduce_coordinates
+from permpat.core import Permutation, reduce_coordinates
 from permpat.matching import contains_left_aligned
 
 DEFAULT_ORACLE_TEXT_CAP = 64
@@ -177,19 +177,14 @@ def pattern_length(g: Graph) -> int:
 
 
 def _pattern_grid(g: Graph) -> list[tuple[int, int, str]]:
+    """Grid encoding of G: vertex i has rank i on both axes."""
     k = g.vertex_count
     return _grid_points(k, [(i, i) for i in range(1, k + 1)], sorted(g.edges))
 
 
-def build_pattern_points(g: Graph) -> PointSet:
-    """Grid encoding of the adjacency structure of G.
-
-    Vertex i has rank i on both axes.  Total size 2 + 5k + 2|E_G|.
-    """
-    return PointSet(Point(*p) for p in _pattern_grid(g))
-
-
 def _text_grid(instance: PsiInstance) -> list[tuple[int, int, str]]:
+    """Grid encoding of H laid out by color-class ranks; an H-edge with
+    equally colored endpoints contributes no cell points."""
     table = ranks(instance)
     n = instance.h.vertex_count
     chi = instance.coloring
@@ -202,23 +197,16 @@ def _text_grid(instance: PsiInstance) -> list[tuple[int, int, str]]:
     return _grid_points(n, units, cells)
 
 
-def build_text_points(instance: PsiInstance) -> PointSet:
-    """Grid encoding of H laid out by color-class ranks.
-
-    Each H-vertex contributes a row pair, a column pair and a diagonal
-    point positioned by its (1-based) rank and reverse rank; each edge of H
-    with differently colored endpoints contributes two cell points.
-    Monochromatic edges contribute nothing.  Total size 2 + 5n + 2*m_bi.
-    """
-    return PointSet(Point(*p) for p in _text_grid(instance))
+def _point_records(grid: list[tuple[int, int, str]]) -> list[dict]:
+    return [{"x": x, "y": y, "role": role} for x, y, role in grid]
 
 
 @dataclass(frozen=True)
 class PsiGadget:
     """The reduced pattern and text of a PSI instance.
 
-    The labeled grids behind them are rebuilt from the instance when
-    ``pattern_points`` or ``text_points`` is read.
+    The labeled grids behind them are rebuilt from the instance when the
+    gadget is dumped by ``to_json_obj``.
     """
 
     instance: PsiInstance
@@ -226,18 +214,10 @@ class PsiGadget:
     text: Permutation
     notes: tuple[str, ...] = ()
 
-    @property
-    def pattern_points(self) -> PointSet:
-        return build_pattern_points(self.instance.g)
-
-    @property
-    def text_points(self) -> PointSet:
-        return build_text_points(self.instance)
-
     def to_json_obj(self) -> dict:
         return {
-            "pattern_points": self.pattern_points.to_json_obj()["points"],
-            "text_points": self.text_points.to_json_obj()["points"],
+            "pattern_points": _point_records(_pattern_grid(self.instance.g)),
+            "text_points": _point_records(_text_grid(self.instance)),
             "pattern": self.pattern.to_text(),
             "text": self.text.to_text(),
             "notes": list(self.notes),
@@ -294,7 +274,7 @@ class ReductionReport:
             "agree": self.agree,
             "pattern_length": self.pattern_length,
             "text_length": self.text_length,
-            "witness": list(self.witness) if self.witness else None,
+            "witness": None if self.witness is None else list(self.witness),
         }
 
 

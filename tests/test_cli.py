@@ -143,6 +143,15 @@ class TestPsi:
         doc = payload(res)["result"]
         assert doc["agree"] is True and doc["psi_answer"] is True
 
+    def test_verify_empty_pattern_graph_prints_empty_witness(self, runner, tmp_path):
+        # with k = 0 the empty mapping is a witness: [] and not null
+        f = tmp_path / "empty.json"
+        f.write_text('{"G":{"k":0},"H":{"n":0},"chi":[]}')
+        res = run(runner, "psi", "verify", str(f))
+        assert res.exit_code == 0
+        doc = payload(res)["result"]
+        assert doc["psi_answer"] is True and doc["witness"] == []
+
     def test_verify_oversize(self, runner, tmp_path):
         doc = {"G": {"k": 1, "edges": []}, "H": {"n": 15, "edges": []}, "chi": [1] * 15}
         f = tmp_path / "big.json"

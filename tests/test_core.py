@@ -1,4 +1,4 @@
-"""Permutation, point set, reduction and inflation behavior."""
+"""Permutation, coordinate reduction and inflation behavior."""
 import itertools
 from fractions import Fraction
 
@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 
 from permpat.core import (
     Permutation,
-    Point,
-    PointSet,
     colayered,
     deflate,
     delete_leftmost,
-    diagram,
     inflate,
     layered,
     reduce_coordinates,
-    reduce_points,
     standardize,
 )
 
@@ -33,7 +29,7 @@ def point_sets_general_position(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
     xs = draw(st.permutations(list(range(1, n + 1))))
     ys = draw(st.permutations(list(range(1, n + 1))))
-    return [Point(x, y) for x, y in zip(xs, ys)]
+    return list(zip(xs, ys))
 
 
 class TestPermutation:
@@ -106,63 +102,34 @@ class TestPermutation:
             p.values = (1, 2)
 
 
-class TestPointSet:
-    def test_rejects_duplicate_points(self):
-        with pytest.raises(ValueError, match="degenerate point set"):
-            PointSet([Point(1, 1), Point(1, 1, "anchor")])
-
-    def test_allows_shared_single_coordinate(self):
-        ps = PointSet([Point(1, 1), Point(1, 2), Point(2, 1)])
-        assert len(ps) == 3
-
-    def test_role_validation(self):
-        with pytest.raises(ValueError):
-            Point(0, 0, "nonsense")
-
-    def test_json_round_trip(self):
-        ps = PointSet([Point(1, 2, "anchor"), Point(2, 1)])
-        assert PointSet.from_json_obj(ps.to_json_obj()) == ps
-
-
 class TestDiagramAndReduce:
-    def test_diagram_example(self):
-        pts = diagram(Permutation.parse("24153"))
-        assert [(p.x, p.y) for p in pts] == [(1, 2), (2, 4), (3, 1), (4, 5), (5, 3)]
-        assert all(p.role == "plain" for p in pts)
-
-    def test_diagram_empty_and_singleton(self):
-        assert len(diagram(Permutation(()))) == 0
-        assert [(p.x, p.y) for p in diagram(Permutation((1,)))] == [(1, 1)]
-
     def test_reduce_general_position(self):
-        assert reduce_points([Point(1, 2), Point(2, 1)]) == Permutation.parse("21")
+        assert reduce_coordinates([(1, 2), (2, 1)]) == Permutation.parse("21")
 
     def test_reduce_tie_in_x(self):
         # clockwise limit: among equal x, the higher point ends up later
-        assert reduce_points([Point(1, 1), Point(1, 2), Point(2, 3)]) == Permutation.parse("123")
+        assert reduce_coordinates([(1, 1), (1, 2), (2, 3)]) == Permutation.parse("123")
 
     def test_reduce_tie_in_y(self):
         # clockwise limit: among equal y, the righter point ends up lower
-        assert reduce_points([Point(1, 1), Point(2, 1)]) == Permutation.parse("21")
+        assert reduce_coordinates([(1, 1), (2, 1)]) == Permutation.parse("21")
 
     def test_reduce_rejects_coinciding_points(self):
         with pytest.raises(ValueError, match="degenerate point set"):
             reduce_coordinates([(1, 2), (3, 1), (1, 2)])
-        with pytest.raises(ValueError, match="degenerate point set"):
-            reduce_points([Point(1, 2), Point(1, 2, "anchor")])
 
     def test_round_trip_exhaustive_small(self):
         for n in range(8):
             for vals in itertools.permutations(range(1, n + 1)):
                 p = Permutation(vals)
-                assert reduce_points(diagram(p)) == p
+                assert reduce_coordinates(list(enumerate(vals, start=1))) == p
 
     @given(point_sets_general_position())
     @settings(max_examples=150)
     def test_reduce_invariant_under_rescaling(self, pts):
-        base = reduce_points(pts)
-        rescaled = [Point(3 * p.x + 17, 11 * p.y - 5) for p in pts]
-        assert reduce_points(rescaled) == base
+        base = reduce_coordinates(pts)
+        rescaled = [(3 * x + 17, 11 * y - 5) for x, y in pts]
+        assert reduce_coordinates(rescaled) == base
 
     @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
                     min_size=1, max_size=10, unique=True))
@@ -170,8 +137,7 @@ class TestDiagramAndReduce:
     def test_tie_break_matches_exact_clockwise_rotation(self, coords):
         # the (x, y) / (y, -x) keys must equal an exact small clockwise
         # rotation with tangent 1/(4 * max|coordinate|^2)
-        pts = [Point(x, y) for x, y in coords]
-        tied = reduce_points(pts)
+        tied = reduce_coordinates(coords)
         m = max(max(abs(x), abs(y)) for x, y in coords) or 1
         t = Fraction(1, 4 * m * m)
         rotated = reduce_coordinates(
@@ -266,7 +232,5 @@ class TestDeleteLeftmostAndStandardize:
     @given(permutations(min_n=1))
     @settings(max_examples=100)
     def test_delete_leftmost_matches_point_removal(self, p):
-        pts = list(diagram(p))
-        assert delete_leftmost(p) == (
-            reduce_points(pts[1:]) if len(pts) > 1 else Permutation(())
-        )
+        pairs = list(enumerate(p, start=1))
+        assert delete_leftmost(p) == reduce_coordinates(pairs[1:])

@@ -93,6 +93,35 @@ class TestCountPattern:
             assert kernel.count_pattern(pat, txt) == naive_count(pat, txt)
 
 
+def quadratic_order_constraints(pattern):
+    """The O(k^2) scan of all earlier positions that the pure kernel used
+    before it bisected a sorted list; kept as the oracle."""
+    k = len(pattern)
+    pred = [-1] * k
+    succ = [-1] * k
+    for j in range(k):
+        lo, hi = 0, k + 1
+        for p in range(j):
+            if lo < pattern[p] < pattern[j]:
+                lo = pattern[p]
+                pred[j] = p
+            elif pattern[j] < pattern[p] < hi:
+                hi = pattern[p]
+                succ[j] = p
+    return pred, succ
+
+
+class TestOrderConstraints:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pat=st.one_of(st.integers(0, 12), st.integers(0, 500)).flatmap(
+            lambda k: st.permutations(range(1, k + 1))
+        )
+    )
+    def test_matches_quadratic_scan(self, pat):
+        assert _kernels_py._order_constraints(pat) == quadratic_order_constraints(pat)
+
+
 class TestCountInversions:
     def test_small_values(self, kernel):
         assert kernel.count_inversions(()) == 0

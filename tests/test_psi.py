@@ -3,20 +3,26 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permpat import psi, selfcheck
-from permpat.core import colayered, reduce_points
+from permpat.core import colayered, reduce_coordinates
 from permpat.matching import contains_left_aligned
 
 
+def with_role(grid, role):
+    """The (x, y) pairs of the grid's points with this role, ascending."""
+    return sorted((x, y) for x, y, r in grid if r == role)
+
+
 def lis_length(points, start=None):
-    """Longest increasing chain under the clockwise tie-break keys,
-    optionally required to start just after a fixed point."""
-    keyed = sorted(((p.x, p.y), (p.y, -p.x)) for p in points)
+    """Longest increasing chain of (x, y) points under the clockwise
+    tie-break keys, optionally required to start just after a fixed point."""
+    keyed = sorted(((x, y), (y, -x)) for x, y in points)
     if start is not None:
         sx, sy = (start[0], start[1]), (start[1], -start[0])
         keyed = [q for q in keyed if q[0] > sx and q[1] > sy]
@@ -119,42 +125,42 @@ class TestRanks:
 class TestPatternPoints:
     def test_triangle(self):
         g = psi.Graph(3, [(1, 2), (2, 3), (1, 3)])
-        pts = psi.build_pattern_points(g)
+        pts = psi._pattern_grid(g)
         assert len(pts) == 23
-        coords = {(p.x, p.y) for p in pts}
+        coords = {(x, y) for x, y, _ in pts}
         assert {(1, 8), (8, 1)} <= coords
         assert {(2, 9), (3, 11)} <= coords
 
     def test_one_vertex_no_edges(self):
-        assert len(psi.build_pattern_points(psi.Graph(1))) == 7
+        assert len(psi._pattern_grid(psi.Graph(1))) == 7
 
     def test_each_edge_adds_two_points(self):
-        base = len(psi.build_pattern_points(psi.Graph(3, [(1, 2)])))
-        more = len(psi.build_pattern_points(psi.Graph(3, [(1, 2), (2, 3)])))
+        base = len(psi._pattern_grid(psi.Graph(3, [(1, 2)])))
+        more = len(psi._pattern_grid(psi.Graph(3, [(1, 2), (2, 3)])))
         assert more == base + 2
 
     def test_row_pairs_increasing_between_anchors(self):
         g = psi.Graph(3, [(1, 2), (2, 3)])
-        pts = psi.build_pattern_points(g)
-        anchors = sorted(pts.with_role("anchor"), key=lambda p: p.x)
-        rows = sorted(pts.with_role("row_pair"), key=lambda p: p.x)
+        pts = psi._pattern_grid(g)
+        (left_x, left_y), (right_x, right_y) = with_role(pts, "anchor")
+        rows = with_role(pts, "row_pair")
         assert len(rows) == 6
-        assert all(anchors[0].x < p.x < anchors[1].x for p in rows)
-        assert all(a.y < b.y for a, b in zip(rows, rows[1:]))
-        cols = sorted(pts.with_role("col_pair"), key=lambda p: p.x)
-        assert all(anchors[1].y < p.y < anchors[0].y for p in cols)
-        assert all(a.y < b.y for a, b in zip(cols, cols[1:]))
+        assert all(left_x < x < right_x for x, _ in rows)
+        assert all(a[1] < b[1] for a, b in zip(rows, rows[1:]))
+        cols = with_role(pts, "col_pair")
+        assert all(right_y < y < left_y for _, y in cols)
+        assert all(a[1] < b[1] for a, b in zip(cols, cols[1:]))
 
     def test_anchor_forcing_chain(self):
         # below the top anchor: exactly 2k+1 points forming an increasing
         # chain that starts at the bottom anchor
         for k, edges in [(1, []), (2, [(1, 2)]), (3, [(1, 2), (2, 3), (1, 3)])]:
-            pts = psi.build_pattern_points(psi.Graph(k, edges))
-            top = next(p for p in pts if p.x == 1)
-            bottom = next(p for p in pts if p.y == 1)
-            below = [p for p in pts if p.y < top.y]
+            pts = [(x, y) for x, y, _ in psi._pattern_grid(psi.Graph(k, edges))]
+            top = next(p for p in pts if p[0] == 1)
+            bottom = next(p for p in pts if p[1] == 1)
+            below = [p for p in pts if p[1] < top[1]]
             assert len(below) == 2 * k + 1
-            assert lis_length([p for p in below if p != bottom], start=(bottom.x, bottom.y)) == 2 * k + 1
+            assert lis_length([p for p in below if p != bottom], start=bottom) == 2 * k + 1
 
 
 class TestTextPoints:
@@ -162,27 +168,27 @@ class TestTextPoints:
         inst = psi.PsiInstance(
             psi.Graph(2, [(1, 2)]), psi.Graph(2, [(1, 2)]), (1, 2)
         )
-        assert len(psi.build_text_points(inst)) == 14
+        assert len(psi._text_grid(inst)) == 14
 
     def test_monochromatic_edge_contributes_nothing(self):
         with_edge = psi.PsiInstance(psi.Graph(2), psi.Graph(2, [(1, 2)]), (1, 1))
         without = psi.PsiInstance(psi.Graph(2), psi.Graph(2), (1, 1))
-        assert len(psi.build_text_points(with_edge)) == len(psi.build_text_points(without))
+        assert len(psi._text_grid(with_edge)) == len(psi._text_grid(without))
 
     def test_per_color_blocks_are_colayered(self):
         # the row pairs of one color class reduce to a co-layered
         # permutation whose layers are single ascending pairs
         inst = psi.PsiInstance(psi.Graph(2), psi.Graph(5), (1, 1, 1, 2, 2))
         table = psi.ranks(inst)
-        pts = psi.build_text_points(inst)
+        pts = psi._text_grid(inst)
         n = inst.h.vertex_count
         for members in inst.color_classes():
             ys = set()
             for v in members:
                 a = table.rank[v - 1] + 1
                 ys.update({3 * a + 2 * n, 3 * a + 2 * n + 2})
-            block = [p for p in pts.with_role("row_pair") if p.y in ys]
-            assert reduce_points(block) == colayered([2] * len(members))
+            block = [(x, y) for x, y in with_role(pts, "row_pair") if y in ys]
+            assert reduce_coordinates(block) == colayered([2] * len(members))
 
     def test_anchor_forcing_counts(self):
         # 2n+1 points lie below the top anchor; the longest increasing chain
@@ -191,13 +197,13 @@ class TestTextPoints:
         inst = psi.PsiInstance(
             psi.Graph(2, [(1, 2)]), psi.Graph(4, [(1, 3), (2, 4)]), (1, 2, 1, 2)
         )
-        pts = psi.build_text_points(inst)
+        pts = [(x, y) for x, y, _ in psi._text_grid(inst)]
         n, k = 4, 2
-        top = next(p for p in pts if p.x == 1)
-        bottom = next(p for p in pts if p.y == 1)
-        below = [p for p in pts if p.y < top.y]
+        top = next(p for p in pts if p[0] == 1)
+        bottom = next(p for p in pts if p[1] == 1)
+        below = [p for p in pts if p[1] < top[1]]
         assert len(below) == 2 * n + 1
-        chain = lis_length([p for p in below if p != bottom], start=(bottom.x, bottom.y))
+        chain = lis_length([p for p in below if p != bottom], start=bottom)
         assert chain == 2 * k + 1
 
 
@@ -212,8 +218,8 @@ class TestReducePsi:
         assert len(gadget.pattern) == 2 + 5 * 3 + 2 * 2
         m_bi = inst.bichromatic_edge_count()
         assert len(gadget.text) == 2 + 5 * 4 + 2 * m_bi
-        assert gadget.pattern == reduce_points(gadget.pattern_points)
-        assert gadget.text == reduce_points(gadget.text_points)
+        assert gadget.pattern == reduce_coordinates([p[:2] for p in psi._pattern_grid(inst.g)])
+        assert gadget.text == reduce_coordinates([p[:2] for p in psi._text_grid(inst)])
 
     def test_empty_graphs_still_valid(self):
         inst = psi.PsiInstance(psi.Graph(1), psi.Graph(1), (1,))
@@ -228,23 +234,28 @@ class TestReducePsi:
         inst2 = psi.PsiInstance(psi.Graph(3), psi.Graph(1), (1,))
         assert psi.reduce_psi(inst2).notes != ()
 
-    def test_reduction_path_builds_no_points(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Point or PointSet built on the reduction path")
-
-        inst = psi.PsiInstance(
-            psi.Graph(3, [(1, 2), (2, 3)]), psi.Graph(4, [(1, 2), (3, 4), (1, 4)]), (1, 2, 3, 1)
-        )
-        expected = psi.reduce_psi(inst)
-        monkeypatch.setattr(psi, "Point", refuse)
-        monkeypatch.setattr(psi, "PointSet", refuse)
-        gadget = psi.reduce_psi(inst)
-        assert (gadget.pattern, gadget.text) == (expected.pattern, expected.text)
-        assert psi.verify_reduction(inst).agree
+    @given(instances())
+    @settings(max_examples=100)
+    def test_dump_records_carry_the_five_grid_roles(self, inst):
+        # each grid writes only five roles: 2 anchors and, per encoded
+        # vertex, 2 row-pair, 2 column-pair and 1 diagonal points, plus 2
+        # cells per encoded edge
+        doc = psi.reduce_psi(inst).to_json_obj()
+        sides = [
+            ("pattern_points", inst.g.vertex_count, inst.g.edge_count),
+            ("text_points", inst.h.vertex_count, inst.bichromatic_edge_count()),
+        ]
+        for key, units, edges in sides:
+            assert all(list(rec) == ["x", "y", "role"] for rec in doc[key])
+            roles = Counter(rec["role"] for rec in doc[key])
+            assert roles == Counter(
+                anchor=2, row_pair=2 * units, col_pair=2 * units, diagonal=units, cell=2 * edges
+            )
 
     # sha256 of one line per instance of selfcheck's 500-instance quick
     # sample, joined by newlines; the values were computed when the gadget
-    # still reduced Point objects through a PointSet
+    # still reduced Point objects through a PointSet, and dumps were written
+    # from them
     def test_quick_sample_permutations_pinned(self):
         lines = []
         for inst in selfcheck.psi_instances("quick"):

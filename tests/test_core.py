@@ -102,6 +102,17 @@ class TestPermutation:
             p.values = (1, 2)
 
 
+class TestPointSet:
+    """A point set is a list of (x, y) pairs; reduce_coordinates checks it."""
+
+    def test_rejects_duplicate_points(self):
+        with pytest.raises(ValueError, match="degenerate point set"):
+            reduce_coordinates([(1, 1), (1, 1)])
+
+    def test_allows_shared_single_coordinate(self):
+        assert len(reduce_coordinates([(1, 1), (1, 2), (2, 1)])) == 3
+
+
 class TestDiagramAndReduce:
     def test_reduce_general_position(self):
         assert reduce_coordinates([(1, 2), (2, 1)]) == Permutation.parse("21")

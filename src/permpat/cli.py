@@ -278,15 +278,15 @@ def gap_core(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> 
     with _usage_errors():
         pi = _load_permutation(pattern)
         tau = _load_permutation(text)
-        inflated_pattern, inflated_text = gap.build_core(pi, tau, alpha, max_text_len=cap)
+        core = gap.build_core(pi, tau, alpha, max_text_len=cap)
     _emit(
         "gap core",
         {"pattern": pi.to_text(), "text": tau.to_text(), "alpha": alpha},
         {
-            "inflated_pattern": inflated_pattern.to_text(),
-            "inflated_text": inflated_text.to_text(),
-            "k_prime": len(inflated_pattern),
-            "n_prime": len(inflated_text),
+            "inflated_pattern": core.pattern.to_text(),
+            "inflated_text": core.text.to_text(),
+            "k_prime": core.k_prime,
+            "n_prime": core.n_prime,
         },
         started,
         fmt,

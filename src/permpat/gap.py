@@ -16,7 +16,7 @@ exponents are cleared by raising both sides to the exponent denominator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, comb, log10
 
@@ -115,8 +115,8 @@ def build_core(
     tau: Permutation,
     alpha: int,
     max_text_len: int | None = None,
-) -> tuple[Permutation, Permutation]:
-    """The inflation step alone, for an explicit alpha.
+) -> GapInstance:
+    """The inflation step alone, for an explicit alpha, as an inflated GapInstance.
 
     Exposed separately because the threshold test forces the trivial branch
     for every desk-scale text, so only the alpha-parametrized core can be
@@ -134,35 +134,20 @@ def build_core(
         max_text_len = DEFAULT_MAX_TEXT_LEN
     if n >= 2 and alpha * (n.bit_length() - 1) >= max_text_len.bit_length():
         raise ValueError("instance too large")
-    _, n_prime = inflated_lengths(n, k, alpha)
+    k_prime, n_prime = inflated_lengths(n, k, alpha)
     if n_prime > max_text_len:
         raise ValueError("instance too large")
     one = Permutation((1,))
     pattern_blocks = [Permutation.increasing(alpha * k)] + [one] * (k - 1)
     text_blocks = [layered([n**alpha] * (alpha * k))] + [one] * (n - 1)
-    return inflate(pi, pattern_blocks), inflate(tau, text_blocks)
-
-
-def _inflated_instance(
-    pi: Permutation,
-    tau: Permutation,
-    alpha: int,
-    max_text_len: int | None,
-    epsilon: Fraction | None = None,
-) -> GapInstance:
-    """The inflation of (pi, tau) for an explicit alpha, as a GapInstance."""
-    k, n = len(pi), len(tau)
-    pattern, text = build_core(pi, tau, alpha, max_text_len)
-    k_prime, n_prime = inflated_lengths(n, k, alpha)
     return GapInstance(
-        pattern=pattern,
-        text=text,
+        pattern=inflate(pi, pattern_blocks),
+        text=inflate(tau, text_blocks),
         k_prime=k_prime,
         n_prime=n_prime,
         branch="inflated",
         initial_block_pattern_len=alpha * k,
-        initial_block_text_len=alpha * k * n**alpha,
-        epsilon=epsilon,
+        initial_block_text_len=n_prime - (n - 1),
         alpha=alpha,
     )
 
@@ -176,7 +161,7 @@ def build_gap_instance(
     """Full reduction: decide small inputs exactly, inflate large ones."""
     params = gap_params(epsilon, len(pi), len(tau))
     if not params.below_threshold:
-        return _inflated_instance(pi, tau, params.alpha, max_text_len, params.epsilon)
+        return replace(build_core(pi, tau, params.alpha, max_text_len), epsilon=params.epsilon)
     if contains_left_aligned(pi, tau):
         pattern, text = TRIVIAL_YES
         branch = "trivial_yes"
@@ -199,7 +184,7 @@ def build_gap_instance(
 def _suffix_copies(gap: GapInstance) -> BigCount:
     """Pattern copies within the re-ranked text suffix that survives
     removing the initial block."""
-    suffix = standardize(gap.text.values[gap.initial_block_text_len :])
+    suffix = standardize(gap.text[gap.initial_block_text_len :])
     return count_copies(gap.pattern, suffix)
 
 
@@ -290,10 +275,10 @@ def check_bounds(n: int, k: int, epsilon: Fraction) -> BoundsReport:
     k_prime, n_prime = inflated_lengths(n, k, alpha)
     require_power_within_budget(n, k_prime * alpha)
     require_power_within_budget(n_prime, max(k_prime * q, p * alpha * k_prime))
-    n_alpha = n**alpha
+    lower_ok, upper_ok = initial_block_bounds(n, k, alpha)
     checks = (
-        BoundCheck("n^alpha <= n'", n_alpha <= n_prime),
-        BoundCheck("n' <= (alpha+1)*k*n^alpha", n_prime <= big * n_alpha),
+        BoundCheck("n^alpha <= n'", lower_ok),
+        BoundCheck("n' <= (alpha+1)*k*n^alpha", upper_ok),
         BoundCheck(
             "(alpha+1)*k*n^alpha <= n^(eps/(2 alpha)) * n^alpha",
             big ** (2 * alpha * q) <= n**p,
@@ -392,7 +377,7 @@ def verify_core(
     one detection of that prefix pattern in the block checks the lemma.
     """
     k, n = len(pi), len(tau)
-    inst = _inflated_instance(pi, tau, alpha, max_text_len)
+    inst = build_core(pi, tau, alpha, max_text_len)
     k_prime, block_len = inst.k_prime, inst.initial_block_text_len
     yes_side = contains_left_aligned(pi, tau)
     total = count_copies(inst.pattern, inst.text)
@@ -410,7 +395,7 @@ def verify_core(
     if alpha * k >= 2:
         m = alpha * k + 1
         lemma_ok = m > k_prime or not contains(
-            standardize(inst.pattern.values[:m]), standardize(inst.text.values[:block_len])
+            standardize(inst.pattern[:m]), standardize(inst.text[:block_len])
         )
 
     checks = [size_ok]

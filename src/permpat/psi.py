@@ -114,29 +114,23 @@ class RankTable:
     permutation of 0..n-1.
     """
 
-    classes: tuple[tuple[int, ...], ...]
     rank: tuple[int, ...]
     reverse_rank: tuple[int, ...]
 
 
 def ranks(instance: PsiInstance) -> RankTable:
     """Rank table of an instance, ordering each color class by vertex id."""
-    classes = instance.color_classes()
     n = instance.h.vertex_count
     rank = [0] * n
     reverse = [0] * n
     before = 0
-    for members in classes:
+    for members in instance.color_classes():
         size = len(members)
         for j, v in enumerate(members, start=1):
             rank[v - 1] = before + j - 1
             reverse[v - 1] = before + size - j
         before += size
-    return RankTable(
-        classes=tuple(tuple(m) for m in classes),
-        rank=tuple(rank),
-        reverse_rank=tuple(reverse),
-    )
+    return RankTable(rank=tuple(rank), reverse_rank=tuple(reverse))
 
 
 def _grid_points(

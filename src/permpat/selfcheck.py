@@ -197,20 +197,16 @@ def criterion_6(scale: str = "full") -> CriterionResult:
         if not matching.contains_left_aligned(pi, tau):
             continue
         checked += 1
-        pattern, text = gap.build_core(pi, tau, alpha=1)
-        total = matching.count_copies(pattern, text)
+        core = gap.build_core(pi, tau, alpha=1)
+        total = matching.count_copies(core.pattern, core.text)
         bound = len(tau) ** (1 * 1 * len(pi))
         if total < bound:
             failures.append(f"({pi}|{tau}): {total} < {bound}")
-    frozen_pattern, frozen_text = gap.build_core(
-        Permutation.parse("21"), Permutation.parse("21"), alpha=1
-    )
-    if (frozen_pattern, frozen_text) != (
-        Permutation.parse("231"),
-        Permutation.parse("32541"),
-    ):
-        failures.append(f"frozen inflation differs: ({frozen_pattern}|{frozen_text})")
-    frozen_count = matching.count_copies(frozen_pattern, frozen_text)
+    frozen = gap.build_core(Permutation.parse("21"), Permutation.parse("21"), alpha=1)
+    expected = (Permutation.parse("231"), Permutation.parse("32541"), 3, 5)
+    if (frozen.pattern, frozen.text, frozen.k_prime, frozen.n_prime) != expected:
+        failures.append(f"frozen inflation differs: {frozen}")
+    frozen_count = matching.count_copies(frozen.pattern, frozen.text)
     if frozen_count != 4:
         failures.append(f"count(231 in 32541) = {frozen_count} != 4")
     return _result(6, "gap-yes-case-bound", started, failures, f"{checked} yes-instances")

@@ -1,4 +1,5 @@
 """Permutation, coordinate reduction and inflation behavior."""
+import doctest
 import itertools
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permpat import core
 from permpat.core import (
     Permutation,
     colayered,
@@ -245,3 +247,9 @@ class TestDeleteLeftmostAndStandardize:
     def test_delete_leftmost_matches_point_removal(self, p):
         pairs = list(enumerate(p, start=1))
         assert delete_leftmost(p) == reduce_coordinates(pairs[1:])
+
+
+def test_docstring_examples():
+    failed, attempted = doctest.testmod(core)
+    assert failed == 0
+    assert attempted >= 7

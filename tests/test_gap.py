@@ -1,9 +1,11 @@
 """Gap parameters, inflation construction, bound chains, decision rule."""
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -85,9 +87,14 @@ class TestGapParams:
 
 class TestBuildCore:
     def test_frozen_examples(self):
-        assert gap.build_core(P("21"), P("21"), 1) == (P("231"), P("32541"))
-        assert gap.build_core(P("12"), P("21"), 1) == (P("123"), P("32541"))
-        assert gap.build_core(P("1"), P("1"), 1) == (P("1"), P("1"))
+        assert gap.build_core(P("21"), P("21"), 1) == gap.GapInstance(
+            pattern=P("231"), text=P("32541"), k_prime=3, n_prime=5, branch="inflated",
+            initial_block_pattern_len=2, initial_block_text_len=4, alpha=1,
+        )
+        core = gap.build_core(P("12"), P("21"), 1)
+        assert (core.pattern, core.text) == (P("123"), P("32541"))
+        core = gap.build_core(P("1"), P("1"), 1)
+        assert (core.pattern, core.text) == (P("1"), P("1"))
 
     def test_empty_and_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -122,9 +129,12 @@ class TestBuildCore:
     @settings(max_examples=120)
     def test_sizes(self, pi, tau, alpha):
         k, n = len(pi), len(tau)
-        pattern, text = gap.build_core(pi, tau, alpha)
-        assert len(pattern) == alpha * k + (k - 1)
-        assert len(text) == n - 1 + alpha * k * n**alpha
+        core = gap.build_core(pi, tau, alpha)
+        assert core.k_prime == len(core.pattern) == alpha * k + (k - 1)
+        assert core.n_prime == len(core.text) == n - 1 + alpha * k * n**alpha
+        assert core.initial_block_pattern_len == alpha * k
+        assert core.initial_block_text_len == alpha * k * n**alpha
+        assert (core.branch, core.epsilon, core.alpha) == ("inflated", None, alpha)
 
     @given(perm(max_n=3), perm(max_n=3), st.integers(1, 2))
     @settings(max_examples=80)
@@ -181,7 +191,7 @@ class TestBuildGapInstance:
         pi, tau = P("21"), P("312")
         inst = gap.build_gap_instance(pi, tau, eps)
         assert inst.branch == "inflated"
-        assert (inst.pattern, inst.text) == gap.build_core(pi, tau, 2)
+        assert inst == replace(gap.build_core(pi, tau, 2), epsilon=eps)
         assert inst.k_prime == 2 * 2 + 1 == len(inst.pattern)
         assert inst.n_prime == 3 - 1 + 2 * 2 * 3**2 == len(inst.text)
         assert inst.initial_block_pattern_len == 4
@@ -195,38 +205,37 @@ class TestTouchingCount:
         with pytest.raises(ValueError):
             gap.copies_touching_initial_block(inst)
 
-    def _core_instance(self, pi, tau, alpha):
-        pattern, text = gap.build_core(pi, tau, alpha)
-        k, n = len(pi), len(tau)
-        return gap.GapInstance(
-            pattern=pattern,
-            text=text,
-            k_prime=alpha * k + (k - 1),
-            n_prime=n - 1 + alpha * k * n**alpha,
-            branch="inflated",
-            initial_block_pattern_len=alpha * k,
-            initial_block_text_len=alpha * k * n**alpha,
-            alpha=alpha,
-        )
-
     def test_no_instance_untouched(self):
-        inst = self._core_instance(P("12"), P("21"), 1)
+        inst = gap.build_core(P("12"), P("21"), 1)
         assert matching.count_copies(inst.pattern, inst.text) == 0
         assert gap.copies_touching_initial_block(inst) == 0
 
     def test_yes_instance_all_copies_touch(self):
-        inst = self._core_instance(P("21"), P("21"), 1)
+        inst = gap.build_core(P("21"), P("21"), 1)
         assert matching.count_copies(inst.pattern, inst.text) == 4
         assert gap.copies_touching_initial_block(inst) == 4
 
     def test_pattern_longer_than_suffix(self):
         # suffix shorter than the pattern: touching equals the total
-        inst = self._core_instance(P("21"), P("12"), 1)
+        inst = gap.build_core(P("21"), P("12"), 1)
         total = matching.count_copies(inst.pattern, inst.text)
         assert gap.copies_touching_initial_block(inst) == total
 
 
 class TestVerifyCore:
+    # sha256 of the CoreReport JSON over the gap-verify benchmark's sources
+    REPORTS_SHA256 = "51c9ad2f49b905948d34a53fe39d41a6e342643c97793669ea6ddce1b45c9f15"
+
+    def test_reports_pinned(self):
+        # |pi| = 2, |tau| in {3, 4}, alpha in {1, 2}; then |pi| = 3, |tau| <= 4, alpha = 1
+        sources = [(pi, tau, alpha) for pi in all_perms(2) for n in (3, 4)
+                   for tau in all_perms(n) for alpha in (1, 2)]
+        sources += [(pi, tau, 1) for pi in all_perms(3) for n in range(1, 5) for tau in all_perms(n)]
+        assert len(sources) == 318
+        reports = [gap.verify_core(pi, tau, alpha).to_json_obj() for pi, tau, alpha in sources]
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == self.REPORTS_SHA256
+
     def test_yes_case_bound(self):
         report = gap.verify_core(P("21"), P("21"), 1)
         assert report.source_has_left_aligned_copy
@@ -277,8 +286,8 @@ class TestVerifyCore:
                 if alpha * k < 2:
                     continue
                 for pi, tau in itertools.product(all_perms(k), all_perms(n)):
-                    pattern, text = gap.build_core(pi, tau, alpha)
-                    used = self.most_block_positions(pattern, text, alpha * k * n**alpha)
+                    core = gap.build_core(pi, tau, alpha)
+                    used = self.most_block_positions(core.pattern, core.text, alpha * k * n**alpha)
                     report = gap.verify_core(pi, tau, alpha)
                     assert report.block_usage_lemma_holds == (used <= alpha * k), (pi, tau, alpha)
                     checked += 1
@@ -384,7 +393,8 @@ class TestDecideViaApprox:
                 for tau_vals in itertools.permutations(range(1, n + 1)):
                     tau = Permutation(tau_vals)
                     for alpha in (1, 2):
-                        pattern, text = gap.build_core(pi, tau, alpha)
+                        core = gap.build_core(pi, tau, alpha)
+                        pattern, text = core.pattern, core.text
                         count = matching.count_copies(pattern, text)
                         exact_answer = gap.decide_via_approx(pattern, text, count)
                         detect_answer = gap.decide_via_approx(

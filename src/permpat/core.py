@@ -262,4 +262,4 @@ def delete_leftmost(tau: Permutation) -> Permutation:
     if len(tau) == 0:
         raise ValueError("empty permutation")
     first = tau[0]
-    return Permutation(v - (v > first) for v in tau.values[1:])
+    return Permutation(v - (v > first) for v in tau.packed[1:])

@@ -10,6 +10,8 @@ leftmost element becomes a layered permutation with alpha*k layers of
 size n^alpha (the "initial blocks").  A left-aligned copy then fans out
 into at least n^(alpha^2 k) copies, while the absence of one caps the
 count at binomial(n-1, k') -- the two sides of the promise gap.
+count_inflated counts those copies from the substitution decomposition,
+in closed forms and searches in tau, without building the inflated text.
 
 Every inequality here is checked in exact integer arithmetic; rational
 exponents are cleared by raising both sides to the exponent denominator.
@@ -20,13 +22,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, comb, log10
 
-from permpat.core import Permutation, inflate, layered, standardize
+from permpat.core import Permutation, delete_leftmost, standardize
 from permpat.matching import (
     POWER_BIT_BUDGET,
     BigCount,
-    contains,
     contains_left_aligned,
     count_copies,
+    count_left_aligned,
     require_power_within_budget,
 )
 
@@ -110,22 +112,21 @@ class GapInstance:
         }
 
 
-def build_core(
-    pi: Permutation,
-    tau: Permutation,
-    alpha: int,
-    max_text_len: int | None = None,
-) -> GapInstance:
-    """The inflation step alone, for an explicit alpha, as an inflated GapInstance.
+def _inflated_pattern(pi: Permutation, alpha: int) -> tuple[int, ...]:
+    """The values of pi with its first element replaced by an increasing run
+    of alpha*k: inflate(pi, [increasing(alpha*k)] + [1]*(k-1)) as a tuple."""
+    run = alpha * len(pi)
+    first = pi[0]
+    return (*range(first, first + run), *(v + run - 1 if v > first else v for v in pi[1:]))
 
-    Exposed separately because the threshold test forces the trivial branch
-    for every desk-scale text, so only the alpha-parametrized core can be
-    exercised against brute force.  Inflated texts longer than
-    ``max_text_len`` (default 10^6) are rejected, by bit length first:
-    for n >= 2, n' >= n^alpha >= 2^(alpha*(bitlen(n)-1)), so a large alpha
-    is refused before n^alpha is computed.
+
+def _require_within_cap(k: int, n: int, alpha: int, max_text_len: int | None) -> tuple[int, int]:
+    """(k', n') of the inflation, or ValueError when n' exceeds the cap.
+
+    The cap (default 10^6) is checked by bit length first: for n >= 2,
+    n' >= n^alpha >= 2^(alpha*(bitlen(n)-1)), so a large alpha is refused
+    before n^alpha is computed.
     """
-    k, n = len(pi), len(tau)
     if k < 1 or n < 1:
         raise ValueError("empty inputs")
     if alpha < 1:
@@ -137,17 +138,42 @@ def build_core(
     k_prime, n_prime = inflated_lengths(n, k, alpha)
     if n_prime > max_text_len:
         raise ValueError("instance too large")
-    one = Permutation((1,))
-    pattern_blocks = [Permutation.increasing(alpha * k)] + [one] * (k - 1)
-    text_blocks = [layered([n**alpha] * (alpha * k))] + [one] * (n - 1)
+    return k_prime, n_prime
+
+
+def build_core(
+    pi: Permutation,
+    tau: Permutation,
+    alpha: int,
+    max_text_len: int | None = None,
+) -> GapInstance:
+    """The inflation step alone, for an explicit alpha, as an inflated GapInstance.
+
+    Exposed separately because the threshold test forces the trivial branch
+    for every desk-scale text, so only the alpha-parametrized core can be
+    exercised against brute force.  Inflated texts longer than
+    ``max_text_len`` (default 10^6) are rejected before anything is built.
+    The text is inflate(tau, [layered([n^alpha]*(alpha*k))] + [1]*(n-1)),
+    written one layer at a time.
+    """
+    k, n = len(pi), len(tau)
+    k_prime, n_prime = _require_within_cap(k, n, alpha, max_text_len)
+    layers, size = alpha * k, n**alpha
+    block_len = layers * size
+    first = tau[0]
+    offset = first - 1  # the block takes the values first .. first + block_len - 1
+    text: list[int] = []
+    for j in range(layers):
+        text.extend(range(offset + (j + 1) * size, offset + j * size, -1))
+    text.extend(v + block_len - 1 if v > first else v for v in tau.packed[1:])
     return GapInstance(
-        pattern=inflate(pi, pattern_blocks),
-        text=inflate(tau, text_blocks),
+        pattern=Permutation(_inflated_pattern(pi, alpha)),
+        text=Permutation(text),
         k_prime=k_prime,
         n_prime=n_prime,
         branch="inflated",
-        initial_block_pattern_len=alpha * k,
-        initial_block_text_len=n_prime - (n - 1),
+        initial_block_pattern_len=layers,
+        initial_block_text_len=block_len,
         alpha=alpha,
     )
 
@@ -181,23 +207,101 @@ def build_gap_instance(
     )
 
 
-def _suffix_copies(gap: GapInstance) -> BigCount:
-    """Pattern copies within the re-ranked text suffix that survives
-    removing the initial block."""
-    suffix = standardize(gap.text[gap.initial_block_text_len :])
-    return count_copies(gap.pattern, suffix)
-
-
 def copies_touching_initial_block(gap: GapInstance) -> BigCount:
     """Number of pattern copies using at least one initial-block element.
 
-    Counted as the difference between the total and the count within the
-    re-ranked text suffix that survives removing the initial block.  Must
-    be 0 whenever the source was a no-instance of left-aligned detection.
+    Counted by backtracking on the text, as the difference between the
+    total and the count within the re-ranked text suffix that survives
+    removing the initial block: the oracle for count_inflated.  Must be 0
+    whenever the source was a no-instance of left-aligned detection.
     """
     if gap.branch != "inflated":
         raise ValueError("not an inflated instance")
-    return count_copies(gap.pattern, gap.text) - _suffix_copies(gap)
+    suffix = standardize(gap.text[gap.initial_block_text_len :])
+    return count_copies(gap.pattern, gap.text) - count_copies(gap.pattern, suffix)
+
+
+def _block_copies(values: tuple[int, ...], layers: int, size: int) -> BigCount:
+    """Copies of the pattern order-isomorphic to values in the initial block,
+    layered([size] * layers).
+
+    A copy maps each layer of the pattern into its own layer of the block,
+    in order, so the count is C(layers, r) * C(size, s_1) * ... * C(size, s_r)
+    when the pattern is layered with layer sizes s_1..s_r, and 0 otherwise.
+    """
+    rank = {v: r for r, v in enumerate(sorted(values))}
+    sigma = [rank[v] for v in values]
+    count, r, start = 1, 0, 0
+    while start < len(sigma):
+        # a layer starting at position start holds the values sigma[start] .. start
+        end = sigma[start] + 1
+        if end <= start or sigma[start:end] != list(range(end - 1, start - 1, -1)):
+            return 0
+        count *= comb(size, end - start)
+        r += 1
+        start = end
+    return comb(layers, r) * count
+
+
+@dataclass(frozen=True)
+class InflatedCount:
+    """Pattern copies in an inflated instance, and whether the initial block
+    avoids the pattern's first alpha*k+1 elements (None when alpha*k < 2)."""
+
+    total_copies: BigCount
+    touching_initial_block: BigCount
+    block_usage_lemma_holds: bool | None
+
+
+def count_inflated(pi: Permutation, tau: Permutation, alpha: int) -> InflatedCount:
+    """Copy counts of build_core(pi, tau, alpha) from its substitution
+    decomposition, without building or searching the inflated text.
+
+    The initial block L is a prefix of the text and an interval of its
+    values, so a copy of the inflated pattern P puts some prefix P[:m] in L.
+    The copies with m = 0 are the copies of P in tau with its first element
+    deleted.  For m >= 1, P[:m] must be an interval of P's values; its
+    copies in L are counted in closed form (C(alpha*k, m) * (n^alpha)^m
+    while the prefix is increasing), and the rest of the copy is a
+    left-aligned copy in tau of P with P[:m] contracted to one point.
+
+    Powers and binomials are bounded by (n^alpha)^k', which must fit in
+    POWER_BIT_BUDGET bits; ValueError otherwise, before any is computed.
+    """
+    k, n = len(pi), len(tau)
+    if k < 1 or n < 1:
+        raise ValueError("empty inputs")
+    if alpha < 1:
+        raise ValueError("alpha must be positive")
+    layers = alpha * k
+    k_prime = layers + k - 1
+    require_power_within_budget(n, alpha)
+    size = n**alpha
+    require_power_within_budget(size, k_prime)
+    pattern = _inflated_pattern(pi, alpha)
+    # copies of P[:alpha*k+1] in L; every longer prefix in L contains one
+    beyond_run = _block_copies(pattern[: layers + 1], layers, size) if k_prime > layers else 0
+    touching = 0
+    # a contracted pattern longer than tau has no copy: start at m = k' - n + 1
+    for m in range(max(1, k_prime - n + 1), k_prime + 1):
+        if m <= layers:  # P[:m] is the increasing run of the values lo..hi
+            lo, hi = pattern[0], pattern[0] + m - 1
+            in_block = comb(layers, m) * size**m
+        elif beyond_run:
+            lo, hi = min(pattern[:m]), max(pattern[:m])
+            in_block = _block_copies(pattern[:m], layers, size) if hi - lo == m - 1 else 0
+        else:
+            break
+        if in_block:
+            contracted = (lo, *(v - m + 1 if v > hi else v for v in pattern[m:]))
+            touching += in_block * count_left_aligned(Permutation(contracted), tau)
+    outside = 0
+    if k_prime < n:
+        outside = count_copies(Permutation(pattern), delete_leftmost(tau))
+    lemma_ok: bool | None = None
+    if layers >= 2:
+        lemma_ok = beyond_run == 0
+    return InflatedCount(outside + touching, touching, lemma_ok)
 
 
 @dataclass(frozen=True)
@@ -372,16 +476,16 @@ def verify_core(
     Yes-side: at least n^(alpha^2 k) copies.  No-side: no copy touches the
     initial block and the total is at most binomial(n-1, k').  Either way,
     when alpha*k >= 2 every embedding uses at most alpha*k initial-block
-    positions.  The block is a prefix of the text, so an embedding with
-    m = alpha*k+1 block positions puts the pattern's first m elements there;
-    one detection of that prefix pattern in the block checks the lemma.
+    positions: the block avoids the pattern's first alpha*k+1 elements.
+    The counts come from count_inflated; the inflated text is never built,
+    but an instance whose text would exceed ``max_text_len`` is refused as
+    build_core refuses it.
     """
     k, n = len(pi), len(tau)
-    inst = build_core(pi, tau, alpha, max_text_len)
-    k_prime, block_len = inst.k_prime, inst.initial_block_text_len
+    k_prime, n_prime = _require_within_cap(k, n, alpha, max_text_len)
+    counts = count_inflated(pi, tau, alpha)
+    total, touching = counts.total_copies, counts.touching_initial_block
     yes_side = contains_left_aligned(pi, tau)
-    total = count_copies(inst.pattern, inst.text)
-    touching = total - _suffix_copies(inst)
     size_ok = all(initial_block_bounds(n, k, alpha))
 
     yes_ok: bool | None = None
@@ -391,13 +495,7 @@ def verify_core(
     else:
         no_ok = touching == 0 and total <= comb(n - 1, k_prime)
 
-    lemma_ok: bool | None = None
-    if alpha * k >= 2:
-        m = alpha * k + 1
-        lemma_ok = m > k_prime or not contains(
-            standardize(inst.pattern[:m]), standardize(inst.text[:block_len])
-        )
-
+    lemma_ok = counts.block_usage_lemma_holds
     checks = [size_ok]
     checks += [yes_ok] if yes_ok is not None else []
     checks += [no_ok] if no_ok is not None else []
@@ -405,7 +503,7 @@ def verify_core(
     return CoreReport(
         source_has_left_aligned_copy=yes_side,
         k_prime=k_prime,
-        n_prime=inst.n_prime,
+        n_prime=n_prime,
         total_copies=total,
         touching_initial_block=touching,
         size_bounds_hold=size_ok,

@@ -3,7 +3,8 @@
 Each criterion function returns a CriterionResult; the CLI ``selfcheck``
 command and the acceptance test module both drive these.  ``quick`` only
 shrinks the reduction-correctness sweep (a fixed 500-instance sample
-instead of the exhaustive family); everything else is identical.
+instead of the exhaustive family) and the inflation-count sweep of
+criterion 12; everything else is identical.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from math import comb, isqrt
 from typing import Callable, Iterator
 
 from permpat import backend, gap, matching, psi
-from permpat.core import Permutation, inflate
+from permpat.core import Permutation, inflate, standardize
 
 QUICK_SAMPLE_SIZE = 500
 QUICK_SAMPLE_SEED = 2749
@@ -369,6 +370,53 @@ def criterion_11(scale: str = "full") -> CriterionResult:
     return _result(11, "inversion-performance-floor", started, failures, f"10^6 in {elapsed:.2f}s")
 
 
+def inflation_count_mismatch(pi: Permutation, tau: Permutation, alpha: int) -> str | None:
+    """How gap.count_inflated disagrees with backtracking over the text that
+    gap.build_core writes, or None when every field agrees."""
+    inst = gap.build_core(pi, tau, alpha)
+    lemma = None
+    layers = inst.initial_block_pattern_len
+    if layers >= 2:
+        block = standardize(inst.text[: inst.initial_block_text_len])
+        lemma = layers + 1 > inst.k_prime or not matching.contains(
+            standardize(inst.pattern[: layers + 1]), block
+        )
+    want = (
+        matching.count_copies(inst.pattern, inst.text),
+        gap.copies_touching_initial_block(inst),
+        lemma,
+    )
+    counts = gap.count_inflated(pi, tau, alpha)
+    got = (counts.total_copies, counts.touching_initial_block, counts.block_usage_lemma_holds)
+    if got == want:
+        return None
+    return f"({pi}|{tau},a={alpha}): (total, touching, lemma) {got} != backtracking {want}"
+
+
+def criterion_12(scale: str = "full") -> CriterionResult:
+    """Decomposition counts of gap inflations equal backtracking on the text.
+
+    Every pi with k <= 3, tau with n <= 5 and alpha whose inflated text has
+    at most 60 elements; at quick scale n <= 4 and at most 40 elements,
+    which leaves out the two costliest classes of full counts.
+    """
+    started = time.perf_counter()
+    failures: list[str] = []
+    checked = 0
+    max_n, max_text_len = (4, 40) if scale == "quick" else (5, 60)
+    for k, n in itertools.product(range(1, 4), range(1, max_n + 1)):
+        for alpha in itertools.count(1):
+            if gap.inflated_lengths(n, k, alpha)[1] > max_text_len:
+                break
+            for pi in all_permutations(k):
+                for tau in all_permutations(n):
+                    checked += 1
+                    mismatch = inflation_count_mismatch(pi, tau, alpha)
+                    if mismatch:
+                        failures.append(mismatch)
+    return _result(12, "inflation-count-oracle", started, failures, f"{checked} instances")
+
+
 ALL_CRITERIA: tuple[tuple[int, Callable[[str], CriterionResult]], ...] = (
     (1, criterion_1),
     (2, criterion_2),
@@ -381,6 +429,7 @@ ALL_CRITERIA: tuple[tuple[int, Callable[[str], CriterionResult]], ...] = (
     (9, criterion_9),
     (10, criterion_10),
     (11, criterion_11),
+    (12, criterion_12),
 )
 
 

@@ -359,4 +359,4 @@ class TestSelfcheck:
     def test_quick_passes(self, runner):
         res = run(runner, "selfcheck", "--scale", "quick", "--format", "plain")
         assert res.exit_code == 0, res.output
-        assert "passed 11/11" in res.output
+        assert "passed 12/12" in res.output

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import permpat
-from permpat import backend, gap, matching
-from permpat.core import Permutation
+from permpat import backend, gap, matching, selfcheck
+from permpat.core import Permutation, inflate, layered
 
 P = Permutation.parse
 
@@ -116,6 +116,18 @@ class TestBuildCore:
             gap.build_core(pi, tau, alpha, max_text_len=n_prime)
             with pytest.raises(ValueError, match="too large"):
                 gap.build_core(pi, tau, alpha, max_text_len=n_prime - 1)
+
+    def test_equals_inflate_of_a_layered_block(self):
+        checked = 0
+        for k, n, alpha in itertools.product(range(1, 4), range(1, 5), range(1, 3)):
+            run = Permutation.increasing(alpha * k)
+            block = layered([n**alpha] * (alpha * k))
+            for pi, tau in itertools.product(all_perms(k), all_perms(n)):
+                core = gap.build_core(pi, tau, alpha)
+                assert core.pattern == inflate(pi, [run] + [P("1")] * (k - 1))
+                assert core.text == inflate(tau, [block] + [P("1")] * (n - 1)), (pi, tau, alpha)
+                checked += 1
+        assert checked == 2 * (1 + 2 + 6) * (1 + 2 + 6 + 24)
 
     @pytest.mark.parametrize("command", ["core", "verify"])
     def test_huge_alpha_refused_before_the_power(self, command):
@@ -294,11 +306,59 @@ class TestVerifyCore:
         assert checked == 343
 
     def test_block_usage_lemma_can_fail(self, monkeypatch):
-        # an increasing initial block holds the increasing pattern prefix
-        monkeypatch.setattr(gap, "layered", lambda sizes: Permutation.increasing(sum(sizes)))
-        report = gap.verify_core(P("12"), P("21"), 1)
-        assert report.block_usage_lemma_holds is False
-        assert not report.checks_pass
+        # an increasing initial block holds the increasing pattern prefix, so
+        # backtracking on it disagrees with the counts of a layered block
+        assert selfcheck.inflation_count_mismatch(P("12"), P("21"), 1) is None
+        real = gap.build_core
+
+        def increasing_block(pi, tau, alpha, max_text_len=None):
+            inst = real(pi, tau, alpha, max_text_len)
+            cut = inst.initial_block_text_len
+            text = Permutation(sorted(inst.text[:cut]) + list(inst.text[cut:]))
+            return replace(inst, text=text)
+
+        monkeypatch.setattr(gap, "build_core", increasing_block)
+        mismatch = selfcheck.inflation_count_mismatch(P("12"), P("21"), 1)
+        assert mismatch is not None and "(0, 0, True) != backtracking (4, 4, False)" in mismatch
+
+
+class TestCountInflated:
+    @given(perm(max_n=3), perm(max_n=5), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_backtracking_on_the_text(self, pi, tau, alpha):
+        # selfcheck criterion 12 runs every instance up to n' = 60
+        if gap.inflated_lengths(len(tau), len(pi), alpha)[1] > 40:
+            alpha = 1
+        assert selfcheck.inflation_count_mismatch(pi, tau, alpha) is None
+
+    def test_block_copies_closed_form(self):
+        # every pattern of length <= 4 against layered blocks of 1..3 layers of size 1..3
+        for layers, size in itertools.product(range(1, 4), range(1, 4)):
+            block = layered([size] * layers)
+            for m in range(1, 5):
+                for sigma in all_perms(m):
+                    want = matching.count_copies(sigma, block)
+                    assert gap._block_copies(sigma.values, layers, size) == want, (sigma, layers, size)
+
+    def test_powers_bounded_before_they_are_computed(self, monkeypatch):
+        # refused before the 2 * 10^7-element pattern is written, too
+        monkeypatch.setattr(gap, "_inflated_pattern", lambda *args: pytest.fail("pattern built"))
+        # 3^(10^7) has about 1.6 * 10^7 bits
+        with pytest.raises(ValueError, match="too large"):
+            gap.count_inflated(P("21"), P("321"), 10**7)
+        # n^alpha fits, but (n^alpha)^k' would not
+        with pytest.raises(ValueError, match="too large"):
+            gap.count_inflated(P("21"), P("321"), 2000)
+
+    def test_large_alpha_verified_without_the_text(self):
+        # n' = 3 + 24 * 4^12, about 4 * 10^8: counted, never built
+        proc = run_cli("gap", "verify", "--pattern", "21", "--text", "2413",
+                       "--alpha", "12", "--cap", "1000000000", timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["checks_pass"] is True
+        assert result["n_prime"] == 3 + 24 * 4**12
+        assert int(result["total_copies"]) >= 4 ** (12 * 12 * 2)
 
 
 class TestKernelCalls:
@@ -317,9 +377,9 @@ class TestKernelCalls:
         for pi, tau, alpha in ((P("12"), P("21"), 1), (P("21"), P("312"), 2)):
             calls.clear()
             gap.verify_core(pi, tau, alpha)
+            # no search repeats, and none runs on the inflated text
             assert calls and len(calls) == len(set(calls))
-            # the block-usage lemma is one detection on the initial block
-            assert [kw for _, kw in calls].count((("limit", 1),)) == 1
+            assert max(len(text) for (_, text, *_), _ in calls) <= len(tau)
 
 
 class TestCheckBounds:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, comb, log10
 
-from permpat.core import Permutation, delete_leftmost, standardize
+from permpat.core import Permutation, delete_leftmost, inflate, layered, standardize
 from permpat.matching import (
     POWER_BIT_BUDGET,
     BigCount,
@@ -153,27 +153,19 @@ def build_core(
     for every desk-scale text, so only the alpha-parametrized core can be
     exercised against brute force.  Inflated texts longer than
     ``max_text_len`` (default 10^6) are rejected before anything is built.
-    The text is inflate(tau, [layered([n^alpha]*(alpha*k))] + [1]*(n-1)),
-    written one layer at a time.
     """
     k, n = len(pi), len(tau)
     k_prime, n_prime = _require_within_cap(k, n, alpha, max_text_len)
-    layers, size = alpha * k, n**alpha
-    block_len = layers * size
-    first = tau[0]
-    offset = first - 1  # the block takes the values first .. first + block_len - 1
-    text: list[int] = []
-    for j in range(layers):
-        text.extend(range(offset + (j + 1) * size, offset + j * size, -1))
-    text.extend(v + block_len - 1 if v > first else v for v in tau.packed[1:])
+    one = Permutation((1,))
+    text_blocks = [layered([n**alpha] * (alpha * k))] + [one] * (n - 1)
     return GapInstance(
         pattern=Permutation(_inflated_pattern(pi, alpha)),
-        text=Permutation(text),
+        text=inflate(tau, text_blocks),
         k_prime=k_prime,
         n_prime=n_prime,
         branch="inflated",
-        initial_block_pattern_len=layers,
-        initial_block_text_len=block_len,
+        initial_block_pattern_len=alpha * k,
+        initial_block_text_len=n_prime - (n - 1),
         alpha=alpha,
     )
 
@@ -253,7 +245,12 @@ class InflatedCount:
     block_usage_lemma_holds: bool | None
 
 
-def count_inflated(pi: Permutation, tau: Permutation, alpha: int) -> InflatedCount:
+def count_inflated(
+    pi: Permutation,
+    tau: Permutation,
+    alpha: int,
+    max_text_len: int | None = None,
+) -> InflatedCount:
     """Copy counts of build_core(pi, tau, alpha) from its substitution
     decomposition, without building or searching the inflated text.
 
@@ -265,18 +262,16 @@ def count_inflated(pi: Permutation, tau: Permutation, alpha: int) -> InflatedCou
     while the prefix is increasing), and the rest of the copy is a
     left-aligned copy in tau of P with P[:m] contracted to one point.
 
-    Powers and binomials are bounded by (n^alpha)^k', which must fit in
-    POWER_BIT_BUDGET bits; ValueError otherwise, before any is computed.
+    An instance is refused with ValueError, before any power or binomial is
+    computed, when build_core would refuse it (n' over ``max_text_len``) or
+    when (n^alpha)^k', which bounds every power and binomial of the count,
+    does not fit in POWER_BIT_BUDGET bits.  The second refuses some
+    instances within the cap, such as a pattern of length 262145 with
+    n = 2 and alpha = 1.
     """
     k, n = len(pi), len(tau)
-    if k < 1 or n < 1:
-        raise ValueError("empty inputs")
-    if alpha < 1:
-        raise ValueError("alpha must be positive")
-    layers = alpha * k
-    k_prime = layers + k - 1
-    require_power_within_budget(n, alpha)
-    size = n**alpha
+    k_prime, _ = _require_within_cap(k, n, alpha, max_text_len)
+    layers, size = alpha * k, n**alpha
     require_power_within_budget(size, k_prime)
     pattern = _inflated_pattern(pi, alpha)
     # copies of P[:alpha*k+1] in L; every longer prefix in L contains one
@@ -477,13 +472,13 @@ def verify_core(
     initial block and the total is at most binomial(n-1, k').  Either way,
     when alpha*k >= 2 every embedding uses at most alpha*k initial-block
     positions: the block avoids the pattern's first alpha*k+1 elements.
-    The counts come from count_inflated; the inflated text is never built,
-    but an instance whose text would exceed ``max_text_len`` is refused as
-    build_core refuses it.
+    The counts come from count_inflated, which never builds the inflated
+    text but refuses what build_core refuses, and also an instance whose
+    count could exceed the power bit budget.
     """
     k, n = len(pi), len(tau)
-    k_prime, n_prime = _require_within_cap(k, n, alpha, max_text_len)
-    counts = count_inflated(pi, tau, alpha)
+    counts = count_inflated(pi, tau, alpha, max_text_len)
+    k_prime, n_prime = inflated_lengths(n, k, alpha)
     total, touching = counts.total_copies, counts.touching_initial_block
     yes_side = contains_left_aligned(pi, tau)
     size_ok = all(initial_block_bounds(n, k, alpha))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import permpat
 from permpat import backend, gap, matching, selfcheck
-from permpat.core import Permutation, inflate, layered
+from permpat.core import Permutation, layered
 
 P = Permutation.parse
 
@@ -116,18 +116,6 @@ class TestBuildCore:
             gap.build_core(pi, tau, alpha, max_text_len=n_prime)
             with pytest.raises(ValueError, match="too large"):
                 gap.build_core(pi, tau, alpha, max_text_len=n_prime - 1)
-
-    def test_equals_inflate_of_a_layered_block(self):
-        checked = 0
-        for k, n, alpha in itertools.product(range(1, 4), range(1, 5), range(1, 3)):
-            run = Permutation.increasing(alpha * k)
-            block = layered([n**alpha] * (alpha * k))
-            for pi, tau in itertools.product(all_perms(k), all_perms(n)):
-                core = gap.build_core(pi, tau, alpha)
-                assert core.pattern == inflate(pi, [run] + [P("1")] * (k - 1))
-                assert core.text == inflate(tau, [block] + [P("1")] * (n - 1)), (pi, tau, alpha)
-                checked += 1
-        assert checked == 2 * (1 + 2 + 6) * (1 + 2 + 6 + 24)
 
     @pytest.mark.parametrize("command", ["core", "verify"])
     def test_huge_alpha_refused_before_the_power(self, command):
@@ -323,13 +311,12 @@ class TestVerifyCore:
 
 
 class TestCountInflated:
-    @given(perm(max_n=3), perm(max_n=5), st.integers(1, 4))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_backtracking_on_the_text(self, pi, tau, alpha):
-        # selfcheck criterion 12 runs every instance up to n' = 60
-        if gap.inflated_lengths(len(tau), len(pi), alpha)[1] > 40:
-            alpha = 1
-        assert selfcheck.inflation_count_mismatch(pi, tau, alpha) is None
+    @given(st.one_of(st.tuples(perm(4, 4), perm(max_n=6)), st.tuples(perm(max_n=3), perm(6, 6))))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_backtracking_past_the_selfcheck_range(self, instance):
+        # selfcheck criterion 12 covers k <= 3 and n <= 5; here k = 4 or n = 6, at n' <= 29
+        pi, tau = instance
+        assert selfcheck.inflation_count_mismatch(pi, tau, 1) is None
 
     def test_block_copies_closed_form(self):
         # every pattern of length <= 4 against layered blocks of 1..3 layers of size 1..3
@@ -346,9 +333,21 @@ class TestCountInflated:
         # 3^(10^7) has about 1.6 * 10^7 bits
         with pytest.raises(ValueError, match="too large"):
             gap.count_inflated(P("21"), P("321"), 10**7)
-        # n^alpha fits, but (n^alpha)^k' would not
-        with pytest.raises(ValueError, match="too large"):
-            gap.count_inflated(P("21"), P("321"), 2000)
+        # n' = 2 + 4000 * 3^2000 fits the cap, but (3^2000)^4001 not the bit budget
+        with pytest.raises(ValueError, match="operands too large"):
+            gap.count_inflated(P("21"), P("321"), 2000, max_text_len=10**1000)
+
+    def test_budget_refuses_within_the_cap(self):
+        # n' = 2k + 1 = 524291 is within the default cap, and gap core builds
+        # the instance; the count could reach (2^1)^k' with k' = 2k - 1, and
+        # k' * bitlen(2) = 4k - 2 > 2^20
+        pi, tau = Permutation.increasing(262145), P("21")
+        assert gap.build_core(pi, tau, 1).n_prime == 524291
+        with pytest.raises(ValueError, match="operands too large"):
+            gap.verify_core(pi, tau, 1)
+        # one pattern element fewer fits the budget; 12..k has no copy in 21
+        shorter = Permutation.increasing(262144)
+        assert gap.count_inflated(shorter, tau, 1) == gap.InflatedCount(0, 0, True)
 
     def test_large_alpha_verified_without_the_text(self):
         # n' = 3 + 24 * 4^12, about 4 * 10^8: counted, never built

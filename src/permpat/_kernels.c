@@ -10,9 +10,11 @@
  * count: one copy in the scan, or at most n copies from one range query of
  * the last-level table, which serves only texts of n <= 2048.  A count past
  * 2^63 - 1 would thus take over 2^63 / 2048 > 4 * 10^15 steps first: it
- * cannot overflow in practice.
+ * cannot overflow in practice.  An inversion count is at most n(n - 1)/2,
+ * under 2^63 for the n <= UINT32_MAX that count_inversions accepts.
  */
 #include <limits.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -125,42 +127,35 @@ done:
     return total;
 }
 
-/* Sorts a[lo..hi) through buf; returns its inversion count. */
-static long long merge_count(long *a, long *buf, long lo, long hi)
-{
-    if (hi - lo <= 1)
-        return 0;
-    long mid = lo + (hi - lo) / 2;
-    long long inv = merge_count(a, buf, lo, mid) + merge_count(a, buf, mid, hi);
-    long i = lo, j = mid, t = lo;
-    while (i < mid && j < hi) {
-        if (a[i] <= a[j]) {
-            buf[t++] = a[i++];
-        } else {
-            buf[t++] = a[j++];
-            inv += mid - i;
-        }
-    }
-    while (i < mid)
-        buf[t++] = a[i++];
-    while (j < hi)
-        buf[t++] = a[j++];
-    for (t = lo; t < hi; t++)
-        a[t] = buf[t];
-    return inv;
-}
-
-/* Number of pairs i < j with a[i] > a[j]; sorts a copy of a. */
+/* Number of pairs i < j with a[i] > a[j], for values in 1..n (repeats
+ * allowed).  One pass over a Fenwick tree of n + 1 32-bit counts indexed by
+ * value: position i adds the i earlier values minus those at most a[i].
+ * Returns -2 at the first value outside 1..n, before it indexes the tree,
+ * and -1 when n > UINT32_MAX (a count could wrap) or malloc fails. */
 long long count_inversions(const long *a, long n)
 {
-    if (n < 2)
+    if (n < 1)
         return 0;
-    long *work = malloc(2 * (size_t)n * sizeof(long));
-    if (work == NULL)
+    if ((unsigned long long)n > UINT32_MAX)
         return -1;
-    memcpy(work, a, (size_t)n * sizeof(long));
-    long long inv = merge_count(work, work + n, 0, n);
-    free(work);
+    uint32_t *tree = calloc((size_t)n + 1, sizeof *tree);
+    if (tree == NULL)
+        return -1;
+    long long inv = 0;
+    for (long i = 0; i < n; i++) {
+        long x = a[i];
+        if (x < 1 || x > n) {
+            inv = -2;
+            break;
+        }
+        long long below = 0;
+        for (long p = x; p > 0; p &= p - 1)
+            below += tree[p];
+        inv += i - below;
+        for (long p = x; p <= n; p += p & -p)
+            tree[p]++;
+    }
+    free(tree);
     return inv;
 }
 

@@ -141,9 +141,15 @@ def count_pattern(
 
 
 def count_inversions(values: Sequence[int]) -> int:
-    """Number of pairs i < j with values[i] > values[j], by merge counting."""
+    """Number of pairs i < j with values[i] > values[j], for values in
+    1..len(values) (repeats allowed), by one pass over a Fenwick tree.
+
+    A value outside that range raises ValueError.
+    """
     vals = _packed(values)
     inv = _lib.count_inversions(vals.buffer_info()[0], len(vals))
+    if inv == -2:
+        raise ValueError(f"count_inversions needs values in 1..{len(vals)}")
     if inv < 0:
         raise MemoryError()
     return inv

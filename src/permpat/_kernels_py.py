@@ -99,34 +99,27 @@ def count_pattern(
         i = idx[j] + 1
 
 
-def _merge_count(vals: list[int], buf: list[int], lo: int, hi: int) -> int:
-    """Sort vals[lo:hi] in place through buf; return its inversion count."""
-    if hi - lo <= 1:
-        return 0
-    mid = (lo + hi) // 2
-    inv = _merge_count(vals, buf, lo, mid) + _merge_count(vals, buf, mid, hi)
-    i, j, t = lo, mid, lo
-    while i < mid and j < hi:
-        if vals[i] <= vals[j]:
-            buf[t] = vals[i]
-            i += 1
-        else:
-            buf[t] = vals[j]
-            j += 1
-            inv += mid - i
-        t += 1
-    if i < mid:
-        buf[t:hi] = vals[i:mid]
-    else:
-        buf[t:hi] = vals[j:hi]
-    vals[lo:hi] = buf[lo:hi]
-    return inv
-
-
 def count_inversions(values: Sequence[int]) -> int:
-    """Number of pairs i < j with values[i] > values[j], by merge counting."""
-    vals = list(values)
-    return _merge_count(vals, [0] * len(vals), 0, len(vals))
+    """Number of pairs i < j with values[i] > values[j], for values in
+    1..len(values) (repeats allowed), by one pass over a Fenwick tree.
+
+    A value outside that range raises ValueError.
+    """
+    n = len(values)
+    if n and (min(values) < 1 or max(values) > n):
+        raise ValueError(f"count_inversions needs values in 1..{n}")
+    tree = [0] * (n + 1)
+    # pairs i < j with values[i] <= values[j]; every other pair is inverted
+    below = 0
+    for x in values:
+        p = x
+        while p:
+            below += tree[p]
+            p &= p - 1
+        while x <= n:
+            tree[x] += 1
+            x += x & -x
+    return n * (n - 1) // 2 - below
 
 
 def is_permutation(values: Sequence[int]) -> bool:

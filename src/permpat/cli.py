@@ -16,7 +16,7 @@ from typing import Iterator
 
 import click
 
-from permpat import gap, matching, psi
+from permpat import backend, gap, matching, psi
 from permpat.core import Permutation
 
 PARSE_ERROR = 2
@@ -85,6 +85,7 @@ def _decimal(value: int, name: str) -> str:
 def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) -> None:
     report = {
         "command": command,
+        "backend": backend.BACKEND_NAME,
         "inputs": inputs,
         "result": result,
         "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),

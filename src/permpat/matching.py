@@ -111,7 +111,7 @@ def count_left_aligned_by_difference(pi: Permutation, tau: Permutation) -> BigCo
 
 
 def count_inversions(tau: Permutation) -> BigCount:
-    """Number of inversions, i.e. copies of 2 1; O(n log n) merge counting."""
+    """Number of inversions, i.e. copies of 2 1; O(n log n) with a Fenwick tree."""
     return backend.count_inversions(tau.packed)
 
 

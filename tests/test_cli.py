@@ -7,6 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from permpat import backend
 from permpat.cli import main
 
 
@@ -58,6 +59,16 @@ class TestDetect:
         res = run(runner, "detect", "--pattern", "1", "--text", "1", "--format", "plain")
         assert res.exit_code == 0
         assert "contains: True" in res.output
+
+    def test_report_names_its_backend(self, runner):
+        doc = payload(run(runner, "detect", "--pattern", "312", "--text", "24153"))
+        assert doc["backend"] == backend.BACKEND_NAME
+        assert list(doc) == ["command", "backend", "inputs", "result", "elapsed_ms"]
+        assert doc["result"] == {"contains": True}
+        plain = run(runner, "detect", "--pattern", "312", "--text", "24153", "--format", "plain")
+        assert plain.output.splitlines() == [
+            "command: detect", "  pattern: 3 1 2", "  text: 2 4 1 5 3", "  left_aligned: False", "contains: True",
+        ]
 
 
 class TestCount:
@@ -360,3 +371,8 @@ class TestSelfcheck:
         res = run(runner, "selfcheck", "--scale", "quick", "--format", "plain")
         assert res.exit_code == 0, res.output
         assert "passed 12/12" in res.output
+
+    def test_json_report_names_its_backend(self, runner):
+        doc = payload(run(runner, "selfcheck", "--scale", "quick"))
+        assert (doc["command"], doc["backend"]) == ("selfcheck", backend.BACKEND_NAME)
+        assert len(doc["result"]["criteria"]) == 12

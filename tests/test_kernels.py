@@ -145,7 +145,31 @@ class TestCountInversions:
             )
             assert kernel.count_inversions(vals) == naive
 
-    def test_pure_merge_leaves_no_reference_cycle(self):
+    @pytest.mark.parametrize("bad", [(0, 1), (1, 3), (-1, 1), (0,), (2,), (1, 2, 2**40)])
+    def test_value_outside_one_to_n_raises(self, kernel, bad):
+        with pytest.raises(ValueError, match=rf"values in 1\.\.{len(bad)}"):
+            kernel.count_inversions(array("l", bad))
+
+    @pytest.mark.parametrize("module", KERNELS, ids=IDS)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(values=st.integers(0, 40).flatmap(
+        lambda n: st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n)
+    ))
+    def test_values_with_repeats_against_quadratic(self, module, values):
+        n = len(values)
+        naive = sum(1 for a in range(n) for b in range(a + 1, n) if values[a] > values[b])
+        assert module.count_inversions(values) == naive
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+    def test_closed_forms_at_tree_power_of_two_edges(self, kernel, n):
+        # the tree walks p += p & -p and p &= p - 1 change length at powers
+        # of two; a rotation (r+1..n, 1..r) has r(n - r) inversions
+        assert kernel.count_inversions(array("l", range(n, 0, -1))) == n * (n - 1) // 2
+        for r in (1, n // 2, n - 1):
+            rotation = array("l", range(r + 1, n + 1)) + array("l", range(1, r + 1))
+            assert kernel.count_inversions(rotation) == r * (n - r)
+
+    def test_pure_count_leaves_no_reference_cycle(self):
         # garbage left in a cycle would hold the working copies of the
         # input until the next full collection
         vals = list(range(1000, 0, -1))
@@ -272,6 +296,17 @@ class TestBackendsAgree:
             vals = list(range(1, n + 1))
             rng.shuffle(vals)
             assert _kernels_py.count_inversions(vals) == _kernels.count_inversions(vals)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=st.one_of(
+        st.integers(0, 30).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.integers(1, 30).flatmap(lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n)),
+        st.lists(st.integers(-2, 14), max_size=12),
+    ))
+    def test_inversions_agree_property(self, values):
+        # equal counts within 1..n, and ValueError on both sides outside it
+        packed = array("l", values)
+        assert outcome(_kernels.count_inversions, packed) == outcome(_kernels_py.count_inversions, packed)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(

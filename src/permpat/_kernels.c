@@ -12,6 +12,9 @@
  * 2^63 - 1 would thus take over 2^63 / 2048 > 4 * 10^15 steps first: it
  * cannot overflow in practice.  An inversion count is at most n(n - 1)/2,
  * under 2^63 for the n <= UINT32_MAX that count_inversions accepts.
+ *
+ * The file is standard C for any cc with the flags of _kernels.py: bits
+ * are counted by popcount64's shifts and masks, not a compiler builtin.
  */
 #include <limits.h>
 #include <stdint.h>
@@ -127,35 +130,114 @@ done:
     return total;
 }
 
+/* Bits set in x, counted in parallel within the word. */
+static int popcount64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* Inversions of a[0..n), values distinct and in 1..n, by one pass that
+ * marks value v as bit (v - 1) % 64 of seen[(v - 1) / 64] and counts the
+ * marked bits of each word in tree, a Fenwick tree over the words.  The
+ * values below v are the tree's prefix before v's word plus the marked bits
+ * of that word below v; position i adds the i earlier values minus those.
+ * No prefix reaches the last of the nw words, so the tree holds nw - 1.
+ * Returns -2 at the first value outside 1..n and -3 at the first repeat,
+ * each before it is marked. */
+static long long count_distinct(const long *a, long n, uint64_t *seen, uint32_t *tree,
+                                long nw)
+{
+    long long inv = 0;
+    for (long i = 0; i < n; i++) {
+        long x = a[i];
+        if (x < 1 || x > n)
+            return -2;
+        long w = (x - 1) >> 6;
+        uint64_t bit = 1ULL << ((x - 1) & 63);
+        if (seen[w] & bit)
+            return -3;
+        long long below = popcount64(seen[w] & (bit - 1));
+        for (long p = w; p > 0; p &= p - 1)
+            below += tree[p];
+        inv += i - below;
+        seen[w] |= bit;
+        for (long p = w + 1; p < nw; p += p & -p)
+            tree[p]++;
+    }
+    return inv;
+}
+
+/* The stable ranks of a[0..n), values in 1..n: a counting sort that orders
+ * equal values by position, so rank[i] < rank[j] exactly when a[i] < a[j],
+ * or a[i] == a[j] and i < j.  NULL when malloc fails. */
+static long *stable_ranks(const long *a, long n)
+{
+    /* next[v] becomes the rank of the next copy of v: 1 + the values below
+     * v + the copies of v ranked so far */
+    uint32_t *next = calloc((size_t)n + 1, sizeof *next);
+    long *rank = malloc((size_t)n * sizeof *rank);
+    if (next != NULL && rank != NULL) {
+        for (long i = 0; i < n; i++)
+            next[a[i]]++;
+        long start = 1;
+        for (long v = 1; v <= n; v++) {
+            long c = next[v];
+            next[v] = (uint32_t)start;
+            start += c;
+        }
+        for (long i = 0; i < n; i++)
+            rank[i] = next[a[i]]++;
+    } else {
+        free(rank);
+        rank = NULL;
+    }
+    free(next);
+    return rank;
+}
+
 /* Number of pairs i < j with a[i] > a[j], for values in 1..n (repeats
- * allowed).  One pass over a Fenwick tree of n + 1 32-bit counts indexed by
- * value: position i adds the i earlier values minus those at most a[i].
- * Returns -2 at the first value outside 1..n, before it indexes the tree,
- * and -1 when n > UINT32_MAX (a count could wrap) or malloc fails. */
+ * allowed), by count_distinct over a bitset of n / 8 bytes and a tree of
+ * n / 16, about 190 KB at n = 10^6.  At a repeat, the input is checked
+ * whole and counted again as its stable ranks, which keep every strict
+ * inversion and add none.  Returns -2 at the first value outside 1..n,
+ * before it indexes anything, and -1 when n > UINT32_MAX (a count could
+ * wrap) or malloc fails. */
 long long count_inversions(const long *a, long n)
 {
     if (n < 1)
         return 0;
     if ((unsigned long long)n > UINT32_MAX)
         return -1;
-    uint32_t *tree = calloc((size_t)n + 1, sizeof *tree);
-    if (tree == NULL)
-        return -1;
-    long long inv = 0;
-    for (long i = 0; i < n; i++) {
-        long x = a[i];
-        if (x < 1 || x > n) {
-            inv = -2;
+    long nw = (n + 63) / 64;
+    uint64_t *seen = calloc((size_t)nw, sizeof *seen);
+    uint32_t *tree = calloc((size_t)nw, sizeof *tree);
+    long *rank = NULL;
+    long long inv = -1;
+    const long *vals = a;
+    while (seen != NULL && tree != NULL) {
+        inv = count_distinct(vals, n, seen, tree, nw);
+        if (inv != -3)  /* ranks never repeat: at most two rounds */
             break;
+        for (long i = 0; i < n; i++) {
+            if (a[i] < 1 || a[i] > n) {
+                inv = -2;
+                goto done;
+            }
         }
-        long long below = 0;
-        for (long p = x; p > 0; p &= p - 1)
-            below += tree[p];
-        inv += i - below;
-        for (long p = x; p <= n; p += p & -p)
-            tree[p]++;
+        inv = -1;
+        if ((rank = stable_ranks(a, n)) == NULL)
+            break;
+        memset(seen, 0, (size_t)nw * sizeof *seen);
+        memset(tree, 0, (size_t)nw * sizeof *tree);
+        vals = rank;
     }
+done:
+    free(rank);
     free(tree);
+    free(seen);
     return inv;
 }
 
@@ -185,32 +267,35 @@ int is_permutation(const long *a, long n)
 #define MAX_DIGITS 9
 #endif
 
-/* The ASCII characters str.split() separates tokens on. */
+/* The ASCII characters str.split() separates tokens on, '\t' to '\r',
+ * 0x1c to 0x1f and ' ', as a mask of bits 0 to 32 tested with one shift. */
+#define SEPARATORS 0x1f0003e00ULL
+
 static int is_separator(unsigned char c)
 {
-    return c == ' ' || (c >= '\t' && c <= '\r') || (c >= 0x1c && c <= 0x1f);
+    return c <= ' ' && (SEPARATORS >> c & 1);
 }
 
 /* Number of tokens in s[0..len) when every token is 1 to MAX_DIGITS ASCII
  * digits and every other byte is a separator; -1 otherwise, for the caller
- * to parse s some other way. */
+ * to parse s some other way.  Each round skips the separators before a
+ * token, then scans its digits. */
 long count_values(const char *s, long len)
 {
-    long count = 0, run = 0;
-    for (long i = 0; i < len; i++) {
-        unsigned char c = (unsigned char)s[i];
-        if (c >= '0' && c <= '9') {
-            if (run++ == 0)
-                count++;
-            if (run > MAX_DIGITS)
-                return -1;
-        } else if (is_separator(c)) {
-            run = 0;
-        } else {
+    const unsigned char *u = (const unsigned char *)s;
+    long count = 0, i = 0;
+    for (;;) {
+        while (i < len && is_separator(u[i]))
+            i++;
+        if (i == len)
+            return count;
+        long start = i;
+        while (i < len && (unsigned char)(u[i] - '0') < 10)
+            i++;
+        if (i == start || i - start > MAX_DIGITS)
             return -1;
-        }
+        count++;
     }
-    return count;
 }
 
 /* Writes the tokens of a text that count_values accepted to out. */
@@ -238,15 +323,28 @@ static unsigned long magnitude(long v)
     return v < 0 ? 0UL - (unsigned long)v : (unsigned long)v;
 }
 
+/* Number of decimals of u, by comparisons with up to four digits at a
+ * time. */
 static int decimal_digits(unsigned long u)
 {
-    int d = 1;
-    while (u >= 10) {
-        u /= 10;
-        d++;
+    for (int d = 0;; d += 4) {
+        if (u < 10)
+            return d + 1;
+        if (u < 100)
+            return d + 2;
+        if (u < 1000)
+            return d + 3;
+        if (u < 10000)
+            return d + 4;
+        u /= 10000;
     }
-    return d;
 }
+
+/* "00" to "99", two characters each. */
+static const char digit_pairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
 
 /* Length of the decimals of a[0..n) joined by single spaces. */
 long format_length(const long *a, long n)
@@ -258,7 +356,8 @@ long format_length(const long *a, long n)
 }
 
 /* Writes the decimals of a[0..n) joined by single spaces to out, which has
- * room for format_length(a, n) bytes. */
+ * room for format_length(a, n) bytes.  Each value is written right to left,
+ * two digits at a time. */
 void format_values(const long *a, long n, char *out)
 {
     for (long i = 0; i < n; i++) {
@@ -267,11 +366,18 @@ void format_values(const long *a, long n, char *out)
         if (a[i] < 0)
             *out++ = '-';
         unsigned long u = magnitude(a[i]);
-        int d = decimal_digits(u);
-        for (int j = d - 1; j >= 0; j--) {
-            out[j] = (char)('0' + u % 10);
-            u /= 10;
+        out += decimal_digits(u);
+        char *p = out;
+        while (u >= 100) {
+            p -= 2;
+            memcpy(p, digit_pairs + 2 * (u % 100), 2);
+            u /= 100;
         }
-        out += d;
+        if (u >= 10) {
+            p -= 2;
+            memcpy(p, digit_pairs + 2 * u, 2);
+        } else {
+            *--p = (char)('0' + u);
+        }
     }
 }

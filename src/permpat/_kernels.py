@@ -142,14 +142,19 @@ def count_pattern(
 
 def count_inversions(values: Sequence[int]) -> int:
     """Number of pairs i < j with values[i] > values[j], for values in
-    1..len(values) (repeats allowed), by one pass over a Fenwick tree.
+    1..len(values) (repeats allowed), by one pass over a bitset of the
+    values seen and a Fenwick tree of its 64-bit words.
 
-    A value outside that range raises ValueError.
+    A value outside that range raises ValueError, also one past a C long.
     """
-    vals = _packed(values)
+    message = f"count_inversions needs values in 1..{len(values)}"
+    try:
+        vals = _packed(values)
+    except OverflowError:
+        raise ValueError(message) from None
     inv = _lib.count_inversions(vals.buffer_info()[0], len(vals))
     if inv == -2:
-        raise ValueError(f"count_inversions needs values in 1..{len(vals)}")
+        raise ValueError(message)
     if inv < 0:
         raise MemoryError()
     return inv
@@ -157,7 +162,10 @@ def count_inversions(values: Sequence[int]) -> int:
 
 def is_permutation(values: Sequence[int]) -> bool:
     """Whether values holds each of 1..len(values) exactly once."""
-    vals = _packed(values)
+    try:
+        vals = _packed(values)
+    except OverflowError:  # a value past a C long is outside 1..n
+        return False
     ok = _lib.is_permutation(vals.buffer_info()[0], len(vals))
     if ok < 0:
         raise MemoryError()

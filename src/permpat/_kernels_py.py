@@ -99,27 +99,58 @@ def count_pattern(
         i = idx[j] + 1
 
 
+def _count_distinct(values: Sequence[int], n: int) -> int | None:
+    """Inversions of values, distinct and in 1..n; None at the first repeat.
+
+    Value v is bit (v - 1) % 64 of words[(v - 1) // 64], and tree is a
+    Fenwick tree of the set bits per word: the values below v are the
+    tree's prefix before v's word plus the set bits of that word below v.
+    No prefix reaches the last word, so the tree leaves it out.
+    """
+    nw = (n + 63) >> 6
+    words = [0] * nw
+    tree = [0] * nw
+    # pairs i < j with values[i] < values[j]; every other pair is inverted
+    below = 0
+    for x in values:
+        w = (x - 1) >> 6
+        bit = 1 << ((x - 1) & 63)
+        word = words[w]
+        if word & bit:
+            return None
+        below += (word & (bit - 1)).bit_count()
+        words[w] = word | bit
+        p = w
+        while p:
+            below += tree[p]
+            p &= p - 1
+        p = w + 1
+        while p < nw:
+            tree[p] += 1
+            p += p & -p
+    return n * (n - 1) // 2 - below
+
+
 def count_inversions(values: Sequence[int]) -> int:
     """Number of pairs i < j with values[i] > values[j], for values in
-    1..len(values) (repeats allowed), by one pass over a Fenwick tree.
+    1..len(values) (repeats allowed), by one pass over a bitset of the
+    values seen and a Fenwick tree of its 64-bit words.  At a repeat the
+    values are counted again as their stable ranks, which keep every strict
+    inversion and add none.
 
     A value outside that range raises ValueError.
     """
     n = len(values)
     if n and (min(values) < 1 or max(values) > n):
         raise ValueError(f"count_inversions needs values in 1..{n}")
-    tree = [0] * (n + 1)
-    # pairs i < j with values[i] <= values[j]; every other pair is inverted
-    below = 0
-    for x in values:
-        p = x
-        while p:
-            below += tree[p]
-            p &= p - 1
-        while x <= n:
-            tree[x] += 1
-            x += x & -x
-    return n * (n - 1) // 2 - below
+    inv = _count_distinct(values, n)
+    if inv is None:
+        # the positions in stable value order are the inverse permutation of
+        # the stable ranks, and a permutation has as many inversions as its
+        # inverse: counting them skips building the ranks
+        order = sorted(range(1, n + 1), key=lambda p: values[p - 1])
+        inv = _count_distinct(order, n)
+    return inv
 
 
 def is_permutation(values: Sequence[int]) -> bool:

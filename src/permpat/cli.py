@@ -91,7 +91,11 @@ def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) ->
         "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
     if fmt == "json":
-        click.echo(json.dumps(report))
+        # json.dumps escapes every control character, so there is no ANSI
+        # code for click.echo to strip; writing directly skips its copy and
+        # scan of a line that holds a whole echoed text
+        sys.stdout.write(json.dumps(report) + "\n")
+        sys.stdout.flush()
         return
     click.echo(f"command: {command}")
     for key, val in inputs.items():

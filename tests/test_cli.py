@@ -148,6 +148,18 @@ class TestPsi:
         assert len(doc["text_points"]) == 2 + 5 * 2 + 2
         assert doc["pattern"].count(" ") == 13
 
+    def test_json_report_is_one_dumps_line_that_keeps_escapes(self, runner, instance_file, tmp_path):
+        # the report is written as json.dumps gives it; an ANSI escape in
+        # an echoed input stays JSON's \u001b
+        f = tmp_path / "red\x1b[31m.json"
+        os.rename(instance_file, f)
+        res = run(runner, "psi", "build", str(f))
+        assert res.exit_code == 0
+        report = json.loads(res.stdout)
+        assert report["inputs"] == {"instance": str(f)}
+        assert res.stdout == json.dumps(report) + "\n"
+        assert "red\\u001b[31m.json" in res.stdout
+
     def test_verify_agreement(self, runner, instance_file):
         res = run(runner, "psi", "verify", instance_file)
         assert res.exit_code == 0

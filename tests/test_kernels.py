@@ -152,18 +152,26 @@ class TestCountInversions:
 
     @pytest.mark.parametrize("module", KERNELS, ids=IDS)
     @settings(max_examples=200, deadline=None, database=None)
-    @given(values=st.integers(0, 40).flatmap(
-        lambda n: st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n)
-    ))
+    @given(values=st.one_of(st.integers(0, 40), st.integers(65, 200)).flatmap(lambda n: st.one_of(
+        st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n),
+        # a permutation whose last value repeats an earlier one: the first
+        # repeat comes last, and past n = 64 the stable ranks that the
+        # count restarts with span several 64-bit words
+        st.permutations(range(1, n + 1)).flatmap(
+            lambda p: st.sampled_from(p[:-1]).map(lambda v: [*p[:-1], v])
+        ) if n > 1 else st.nothing(),
+    )))
     def test_values_with_repeats_against_quadratic(self, module, values):
         n = len(values)
         naive = sum(1 for a in range(n) for b in range(a + 1, n) if values[a] > values[b])
         assert module.count_inversions(values) == naive
 
-    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1])
     def test_closed_forms_at_tree_power_of_two_edges(self, kernel, n):
-        # the tree walks p += p & -p and p &= p - 1 change length at powers
-        # of two; a rotation (r+1..n, 1..r) has r(n - r) inversions
+        # the values seen fill 64-bit words, so a new word starts past
+        # n = 64 and 128; the walks p += p & -p and p &= p - 1 of the tree
+        # over those words change length at powers of two (1024 words at
+        # n = 2^16).  A rotation (r+1..n, 1..r) has r(n - r) inversions
         assert kernel.count_inversions(array("l", range(n, 0, -1))) == n * (n - 1) // 2
         for r in (1, n // 2, n - 1):
             rotation = array("l", range(r + 1, n + 1)) + array("l", range(1, r + 1))
@@ -215,6 +223,10 @@ class TestContract:
             kernel.parse_values("1 x")
         with pytest.raises(OverflowError):
             kernel.parse_values("1 " + "9" * 19)
+        # 18 digits are the longest token the C parser reads itself; 19 go
+        # to the pure parser, which reads this one as a C long
+        assert kernel.parse_values(" \t" + "9" * 18 + " 1\n") == array("l", (10**18 - 1, 1))
+        assert kernel.parse_values("\n" + "1" * 19 + " 2 \x1f") == array("l", (int("1" * 19), 2))
         assert kernel.format_values(array("l", (2, -4, 0, 10))) == "2 -4 0 10"
         assert kernel.format_values(array("l")) == ""
 
@@ -242,6 +254,8 @@ def test_compiled_path_makes_no_per_element_python_pass(monkeypatch):
     tau = Permutation.parse("".join(f"{next(separators)}{v}" for v in values))
     pi = Permutation.parse("2 3 1")
     assert tau.to_text() == " ".join(map(str, values))
+    # the longest token the C parser reads, with separators at both ends
+    assert _kernels.parse_values("\x1f" + "9" * 18 + " ") == array("l", [10**18 - 1])
     monkeypatch.setattr(_kernels, "array", refuse)
     assert matching.count_inversions(tau) == inversions
     assert matching.count_copies(pi, tau) == copies
@@ -256,6 +270,12 @@ def outcome(fn, *args):
 
 
 C_LONG = st.integers(-(2**63), 2**63 - 1)
+PAST_C_LONG = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1))
+# where the number of decimals changes: ±(10^e - 1), ±10^e, ±(10^e + 1),
+# and LONG_MIN, whose magnitude is no C long
+DIGIT_COUNT_EDGES = st.sampled_from(sorted(
+    {s * (10**e + d) for e in range(19) for d in (-1, 0, 1) for s in (1, -1)} | {-(2**63), 2**63 - 1}
+))
 # what str.split() and int() make of each matters: ASCII and other
 # separators, signs, leading zeros, underscores, non-ASCII digits, tokens of
 # 19 or more digits and past the range of a C long
@@ -302,11 +322,12 @@ class TestBackendsAgree:
         st.integers(0, 30).flatmap(lambda n: st.permutations(range(1, n + 1))),
         st.integers(1, 30).flatmap(lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n)),
         st.lists(st.integers(-2, 14), max_size=12),
+        st.lists(st.one_of(st.integers(-2, 14), PAST_C_LONG), max_size=12),
     ))
     def test_inversions_agree_property(self, values):
-        # equal counts within 1..n, and ValueError on both sides outside it
-        packed = array("l", values)
-        assert outcome(_kernels.count_inversions, packed) == outcome(_kernels_py.count_inversions, packed)
+        # equal counts within 1..n, and ValueError on both sides outside it,
+        # also for a list holding a value past a C long
+        assert outcome(_kernels.count_inversions, values) == outcome(_kernels_py.count_inversions, values)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -361,14 +382,15 @@ class TestBackendsAgree:
         st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
         st.lists(st.integers(-2, 12), max_size=12),
         st.lists(C_LONG, max_size=4),
+        st.lists(st.one_of(st.integers(1, 4), PAST_C_LONG), max_size=4),
     ))
     def test_is_permutation_property(self, values):
-        packed = array("l", values)
+        # a plain list, which may hold values past a C long
         expected = sorted(values) == list(range(1, len(values) + 1))
-        assert _kernels.is_permutation(packed) is _kernels_py.is_permutation(packed) is expected
+        assert _kernels.is_permutation(values) is _kernels_py.is_permutation(values) is expected
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(values=st.lists(st.one_of(st.integers(-12, 12), C_LONG), max_size=12))
+    @given(values=st.lists(st.one_of(st.integers(-12, 12), C_LONG, DIGIT_COUNT_EDGES), max_size=12))
     def test_format_values_property(self, values):
         packed = array("l", values)
         assert _kernels.format_values(packed) == _kernels_py.format_values(packed) == " ".join(map(str, values))
@@ -421,9 +443,11 @@ def import_fresh(tmp_path, path):
 class TestKernelBuild:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
     def test_source_compiles_without_warnings(self, tmp_path):
+        from permpat._kernels import _FLAGS  # those of the shipped build
+
         source = Path(_kernels_py.__file__).with_name("_kernels.c")
         proc = subprocess.run(
-            ["cc", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC",
+            ["cc", "-Wall", "-Wextra", "-Werror", *_FLAGS,
              "-o", str(tmp_path / "kernels.so"), str(source)],
             capture_output=True, text=True, timeout=120,
         )

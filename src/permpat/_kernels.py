@@ -147,14 +147,14 @@ def count_inversions(values: Sequence[int]) -> int:
 
     A value outside that range raises ValueError, also one past a C long.
     """
-    message = f"count_inversions needs values in 1..{len(values)}"
     try:
         vals = _packed(values)
-    except OverflowError:
-        raise ValueError(message) from None
-    inv = _lib.count_inversions(vals.buffer_info()[0], len(vals))
+    except OverflowError:  # a value past a C long is outside 1..n
+        inv = -2
+    else:
+        inv = _lib.count_inversions(vals.buffer_info()[0], len(vals))
     if inv == -2:
-        raise ValueError(message)
+        raise ValueError(f"count_inversions needs values in 1..{len(values)}")
     if inv < 0:
         raise MemoryError()
     return inv

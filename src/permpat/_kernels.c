@@ -10,8 +10,9 @@
  * count: one copy in the scan, or at most n copies from one range query of
  * the last-level table, which serves only texts of n <= 2048.  A count past
  * 2^63 - 1 would thus take over 2^63 / 2048 > 4 * 10^15 steps first: it
- * cannot overflow in practice.  An inversion count is at most n(n - 1)/2,
- * under 2^63 for the n <= UINT32_MAX that count_inversions accepts.
+ * cannot overflow in practice.  The inversions of a permutation of 1..n
+ * number at most n(n - 1)/2, under 2^63 for the n <= UINT32_MAX that
+ * count_inversions accepts.
  *
  * The file is standard C for any cc with the flags of _kernels.py: bits
  * are counted by popcount64's shifts and masks, not a compiler builtin.
@@ -139,71 +140,15 @@ static int popcount64(uint64_t x)
     return (int)((x * 0x0101010101010101ULL) >> 56);
 }
 
-/* Inversions of a[0..n), values distinct and in 1..n, by one pass that
- * marks value v as bit (v - 1) % 64 of seen[(v - 1) / 64] and counts the
- * marked bits of each word in tree, a Fenwick tree over the words.  The
- * values below v are the tree's prefix before v's word plus the marked bits
- * of that word below v; position i adds the i earlier values minus those.
- * No prefix reaches the last of the nw words, so the tree holds nw - 1.
- * Returns -2 at the first value outside 1..n and -3 at the first repeat,
- * each before it is marked. */
-static long long count_distinct(const long *a, long n, uint64_t *seen, uint32_t *tree,
-                                long nw)
-{
-    long long inv = 0;
-    for (long i = 0; i < n; i++) {
-        long x = a[i];
-        if (x < 1 || x > n)
-            return -2;
-        long w = (x - 1) >> 6;
-        uint64_t bit = 1ULL << ((x - 1) & 63);
-        if (seen[w] & bit)
-            return -3;
-        long long below = popcount64(seen[w] & (bit - 1));
-        for (long p = w; p > 0; p &= p - 1)
-            below += tree[p];
-        inv += i - below;
-        seen[w] |= bit;
-        for (long p = w + 1; p < nw; p += p & -p)
-            tree[p]++;
-    }
-    return inv;
-}
-
-/* The stable ranks of a[0..n), values in 1..n: a counting sort that orders
- * equal values by position, so rank[i] < rank[j] exactly when a[i] < a[j],
- * or a[i] == a[j] and i < j.  NULL when malloc fails. */
-static long *stable_ranks(const long *a, long n)
-{
-    /* next[v] becomes the rank of the next copy of v: 1 + the values below
-     * v + the copies of v ranked so far */
-    uint32_t *next = calloc((size_t)n + 1, sizeof *next);
-    long *rank = malloc((size_t)n * sizeof *rank);
-    if (next != NULL && rank != NULL) {
-        for (long i = 0; i < n; i++)
-            next[a[i]]++;
-        long start = 1;
-        for (long v = 1; v <= n; v++) {
-            long c = next[v];
-            next[v] = (uint32_t)start;
-            start += c;
-        }
-        for (long i = 0; i < n; i++)
-            rank[i] = next[a[i]]++;
-    } else {
-        free(rank);
-        rank = NULL;
-    }
-    free(next);
-    return rank;
-}
-
-/* Number of pairs i < j with a[i] > a[j], for values in 1..n (repeats
- * allowed), by count_distinct over a bitset of n / 8 bytes and a tree of
- * n / 16, about 190 KB at n = 10^6.  At a repeat, the input is checked
- * whole and counted again as its stable ranks, which keep every strict
- * inversion and add none.  Returns -2 at the first value outside 1..n,
- * before it indexes anything, and -1 when n > UINT32_MAX (a count could
+/* Number of pairs i < j with a[i] > a[j], for a permutation a[0..n) of
+ * 1..n, by one pass that marks value v as bit (v - 1) % 64 of
+ * seen[(v - 1) / 64] and counts the marked bits of each word in tree, a
+ * Fenwick tree over the words: n / 8 + n / 16 bytes, about 190 KB at
+ * n = 10^6.  The values below v are the tree's prefix before v's word plus
+ * the marked bits of that word below v; position i adds the i earlier
+ * values minus those.  No prefix reaches the last of the nw words, so the
+ * tree holds nw - 1.  Returns -2 at the first value outside 1..n or
+ * repeated, before it is marked, and -1 when n > UINT32_MAX (a count could
  * wrap) or malloc fails. */
 long long count_inversions(const long *a, long n)
 {
@@ -214,28 +159,23 @@ long long count_inversions(const long *a, long n)
     long nw = (n + 63) / 64;
     uint64_t *seen = calloc((size_t)nw, sizeof *seen);
     uint32_t *tree = calloc((size_t)nw, sizeof *tree);
-    long *rank = NULL;
-    long long inv = -1;
-    const long *vals = a;
-    while (seen != NULL && tree != NULL) {
-        inv = count_distinct(vals, n, seen, tree, nw);
-        if (inv != -3)  /* ranks never repeat: at most two rounds */
+    long long inv = seen != NULL && tree != NULL ? 0 : -1;
+    for (long i = 0; i < n && inv >= 0; i++) {
+        long x = a[i];
+        if (x < 1 || x > n || (seen[(x - 1) >> 6] >> ((x - 1) & 63) & 1)) {
+            inv = -2;
             break;
-        for (long i = 0; i < n; i++) {
-            if (a[i] < 1 || a[i] > n) {
-                inv = -2;
-                goto done;
-            }
         }
-        inv = -1;
-        if ((rank = stable_ranks(a, n)) == NULL)
-            break;
-        memset(seen, 0, (size_t)nw * sizeof *seen);
-        memset(tree, 0, (size_t)nw * sizeof *tree);
-        vals = rank;
+        long w = (x - 1) >> 6;
+        uint64_t bit = 1ULL << ((x - 1) & 63);
+        long long below = popcount64(seen[w] & (bit - 1));
+        for (long p = w; p > 0; p &= p - 1)
+            below += tree[p];
+        inv += i - below;
+        seen[w] |= bit;
+        for (long p = w + 1; p < nw; p += p & -p)
+            tree[p]++;
     }
-done:
-    free(rank);
     free(tree);
     free(seen);
     return inv;

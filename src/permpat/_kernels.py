@@ -141,11 +141,12 @@ def count_pattern(
 
 
 def count_inversions(values: Sequence[int]) -> int:
-    """Number of pairs i < j with values[i] > values[j], for values in
-    1..len(values) (repeats allowed), by one pass over a bitset of the
-    values seen and a Fenwick tree of its 64-bit words.
+    """Number of pairs i < j with values[i] > values[j], for a permutation
+    of 1..len(values), by one pass over a bitset of the values seen and a
+    Fenwick tree of its 64-bit words.
 
-    A value outside that range raises ValueError, also one past a C long.
+    A value outside 1..n, also one past a C long, or a repeated one raises
+    ValueError.
     """
     try:
         vals = _packed(values)
@@ -154,7 +155,7 @@ def count_inversions(values: Sequence[int]) -> int:
     else:
         inv = _lib.count_inversions(vals.buffer_info()[0], len(vals))
     if inv == -2:
-        raise ValueError(f"count_inversions needs values in 1..{len(values)}")
+        raise ValueError(f"count_inversions needs distinct values in 1..{len(values)}")
     if inv < 0:
         raise MemoryError()
     return inv

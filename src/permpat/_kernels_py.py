@@ -99,14 +99,23 @@ def count_pattern(
         i = idx[j] + 1
 
 
-def _count_distinct(values: Sequence[int], n: int) -> int | None:
-    """Inversions of values, distinct and in 1..n; None at the first repeat.
+def count_inversions(values: Sequence[int]) -> int:
+    """Number of pairs i < j with values[i] > values[j], for a permutation
+    of 1..len(values), by one pass over a bitset of the values seen and a
+    Fenwick tree of its 64-bit words.
 
-    Value v is bit (v - 1) % 64 of words[(v - 1) // 64], and tree is a
-    Fenwick tree of the set bits per word: the values below v are the
-    tree's prefix before v's word plus the set bits of that word below v.
-    No prefix reaches the last word, so the tree leaves it out.
+    Value v is bit (v - 1) % 64 of words[(v - 1) // 64], and tree counts
+    the set bits per word: the values below v are the tree's prefix before
+    v's word plus the set bits of that word below v.  No prefix reaches the
+    last word, so the tree leaves it out.
+
+    A value outside 1..n, or a repeated one, raises ValueError.
     """
+    n = len(values)
+    refusal = f"count_inversions needs distinct values in 1..{n}"
+    # range first: a value below 1 would index the words from the end
+    if n and (min(values) < 1 or max(values) > n):
+        raise ValueError(refusal)
     nw = (n + 63) >> 6
     words = [0] * nw
     tree = [0] * nw
@@ -117,7 +126,7 @@ def _count_distinct(values: Sequence[int], n: int) -> int | None:
         bit = 1 << ((x - 1) & 63)
         word = words[w]
         if word & bit:
-            return None
+            raise ValueError(refusal)
         below += (word & (bit - 1)).bit_count()
         words[w] = word | bit
         p = w
@@ -129,28 +138,6 @@ def _count_distinct(values: Sequence[int], n: int) -> int | None:
             tree[p] += 1
             p += p & -p
     return n * (n - 1) // 2 - below
-
-
-def count_inversions(values: Sequence[int]) -> int:
-    """Number of pairs i < j with values[i] > values[j], for values in
-    1..len(values) (repeats allowed), by one pass over a bitset of the
-    values seen and a Fenwick tree of its 64-bit words.  At a repeat the
-    values are counted again as their stable ranks, which keep every strict
-    inversion and add none.
-
-    A value outside that range raises ValueError.
-    """
-    n = len(values)
-    if n and (min(values) < 1 or max(values) > n):
-        raise ValueError(f"count_inversions needs values in 1..{n}")
-    inv = _count_distinct(values, n)
-    if inv is None:
-        # the positions in stable value order are the inverse permutation of
-        # the stable ranks, and a permutation has as many inversions as its
-        # inverse: counting them skips building the ranks
-        order = sorted(range(1, n + 1), key=lambda p: values[p - 1])
-        inv = _count_distinct(order, n)
-    return inv
 
 
 def is_permutation(values: Sequence[int]) -> bool:

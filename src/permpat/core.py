@@ -35,10 +35,7 @@ class Permutation:
         # grows one item at a time from any other iterable
         seq = values if isinstance(values, (list, tuple)) else list(values)
         try:
-            try:
-                packed = array("l", seq)
-            except TypeError:  # floats, strings: whatever int() accepts
-                packed = array("l", map(int, seq))
+            packed = array("l", seq)  # TypeError for floats, strings
         except OverflowError:
             raise ValueError(_OUTSIDE_C_LONG) from None
         self._adopt(packed)

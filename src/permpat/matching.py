@@ -24,6 +24,10 @@ BigCount = int
 # check under a second.
 POWER_BIT_BUDGET = 1 << 20
 
+# Most k-subsets of text positions count_copies_naive tries: 6-8 s at
+# 0.6-0.8 us per subset (k = 2 and 4, x86-64).
+NAIVE_SUBSET_BUDGET = 10**7
+
 
 def require_power_within_budget(base: int, exp: int) -> None:
     """Raise ValueError unless base^exp surely fits in POWER_BIT_BUDGET bits.
@@ -35,11 +39,6 @@ def require_power_within_budget(base: int, exp: int) -> None:
         raise ValueError(f"operands too large: a power would exceed {POWER_BIT_BUDGET} bits")
 
 
-def _require_pattern(pi: Permutation) -> None:
-    if len(pi) == 0:
-        raise ValueError("empty pattern")
-
-
 def _require_nonempty(pi: Permutation, tau: Permutation) -> None:
     if len(pi) == 0 or len(tau) == 0:
         raise ValueError("empty inputs")
@@ -47,25 +46,17 @@ def _require_nonempty(pi: Permutation, tau: Permutation) -> None:
 
 def contains(pi: Permutation, tau: Permutation) -> bool:
     """Whether tau contains a copy of pi."""
-    _require_pattern(pi)
-    if len(pi) > len(tau):
-        return False
     return backend.count_pattern(pi.packed, tau.packed, limit=1) > 0
 
 
 def contains_left_aligned(pi: Permutation, tau: Permutation) -> bool:
     """Whether tau contains a copy of pi using the first text position."""
     _require_nonempty(pi, tau)
-    if len(pi) > len(tau):
-        return False
     return backend.count_pattern(pi.packed, tau.packed, pin_first=True, limit=1) > 0
 
 
 def count_copies(pi: Permutation, tau: Permutation) -> BigCount:
     """Exact number of copies of pi in tau (pruned backtracking)."""
-    _require_pattern(pi)
-    if len(pi) > len(tau):
-        return 0
     return backend.count_pattern(pi.packed, tau.packed)
 
 
@@ -73,12 +64,24 @@ def count_copies_naive(pi: Permutation, tau: Permutation) -> BigCount:
     """Oracle counter: test every k-subset of text positions.
 
     Deliberately independent of the backtracking path; exponentially slower
-    and intended for cross-checking at small sizes only.
+    and intended for cross-checking at small sizes only: a text with more
+    than NAIVE_SUBSET_BUDGET k-subsets is refused with ValueError before any
+    is tried.
     """
-    _require_pattern(pi)
     k, n = len(pi), len(tau)
+    if k == 0:
+        raise ValueError("empty pattern")
     if k > n:
         return 0
+    # C(n, j) grows with j up to n/2, so the product passes the budget on
+    # its way to C(n, min(k, n - k)) = C(n, k) exactly when C(n, k) does
+    subsets = 1
+    for j in range(min(k, n - k)):
+        subsets = subsets * (n - j) // (j + 1)
+        if subsets > NAIVE_SUBSET_BUDGET:
+            raise ValueError(
+                f"text too long for the naive count: C({n}, {k}) subsets exceed {NAIVE_SUBSET_BUDGET}"
+            )
     pat = pi.values
     txt = tau.values
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
@@ -93,8 +96,6 @@ def count_left_aligned(pi: Permutation, tau: Permutation) -> BigCount:
     """Exact number of left-aligned copies of pi in tau, by backtracking
     with the first text position pinned."""
     _require_nonempty(pi, tau)
-    if len(pi) > len(tau):
-        return 0
     return backend.count_pattern(pi.packed, tau.packed, pin_first=True)
 
 

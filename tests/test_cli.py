@@ -80,6 +80,17 @@ class TestCount:
         res = run(runner, "count", "--pattern", "213", "--text", "24153", "--mode", "naive")
         assert payload(res)["result"]["count"] == "3"
 
+    def test_naive_refuses_a_long_text_before_enumerating(self, runner, tmp_path):
+        # C(10^5, 2) = 4,999,950,000 pairs would take about an hour
+        f = tmp_path / "inc.txt"
+        f.write_text(" ".join(map(str, range(1, 10**5 + 1))))
+        res = run(runner, "count", "--pattern", "21", "--text", f"@{f}", "--mode", "naive")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: text too long for the naive count: C(100000, 2) subsets exceed 10000000"
+        ]
+
     def test_left_mode_reports_both(self, runner):
         res = run(runner, "count", "--pattern", "213", "--text", "24153", "--mode", "left")
         doc = payload(res)["result"]

@@ -64,9 +64,17 @@ class TestPermutation:
             with pytest.raises(ValueError, match="not a bijection"):
                 make()
 
-    def test_accepts_whatever_int_accepts(self):
-        assert Permutation(["2", 1.0]).values == (2, 1)
+    def test_accepts_any_iterable_of_ints(self):
         assert Permutation(iter((2, 3, 1))).values == (2, 3, 1)
+
+    def test_refuses_non_integers(self):
+        # int() would truncate 2.7 to 2 and read "2": neither is a value
+        for values in ([2.7, 1.2], ["2", "1"]):
+            with pytest.raises(TypeError):
+                Permutation(values)
+        # text is the user's input, refused with ValueError like any bad text
+        with pytest.raises(ValueError):
+            Permutation.parse("2.7 1.2")
 
     def test_sequence_behaviour(self):
         p = Permutation.parse("2 4 1 5 3")

@@ -63,7 +63,7 @@ documents = st.one_of(
 )
 
 
-@given(st.text(max_size=40) | st.lists(st.sampled_from(["1", "2", "12", "-3", "²", "1e3", "٣", " "])).map("".join))
+@given(st.text(max_size=40) | st.lists(st.sampled_from(["1", "2", "12", "-3", "²", "1e3", "2.7", "٣", " "])).map("".join))
 @settings(max_examples=200)
 def test_permutation_parse_returns_or_raises_value_error(text):
     try:

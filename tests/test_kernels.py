@@ -145,26 +145,15 @@ class TestCountInversions:
             )
             assert kernel.count_inversions(vals) == naive
 
-    @pytest.mark.parametrize("bad", [(0, 1), (1, 3), (-1, 1), (0,), (2,), (1, 2, 2**40)])
+    @pytest.mark.parametrize("bad", [
+        (0, 1), (1, 3), (-1, 1), (0,), (2,), (1, 2, 2**40),
+        # repeats are refused like values outside 1..n; the last one repeats
+        # a value of the second 64-bit word of the values seen
+        (1, 1), (2, 1, 2), (*range(1, 130), 65),
+    ])
     def test_value_outside_one_to_n_raises(self, kernel, bad):
         with pytest.raises(ValueError, match=rf"values in 1\.\.{len(bad)}"):
             kernel.count_inversions(array("l", bad))
-
-    @pytest.mark.parametrize("module", KERNELS, ids=IDS)
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(values=st.one_of(st.integers(0, 40), st.integers(65, 200)).flatmap(lambda n: st.one_of(
-        st.lists(st.integers(1, max(n, 1)), min_size=n, max_size=n),
-        # a permutation whose last value repeats an earlier one: the first
-        # repeat comes last, and past n = 64 the stable ranks that the
-        # count restarts with span several 64-bit words
-        st.permutations(range(1, n + 1)).flatmap(
-            lambda p: st.sampled_from(p[:-1]).map(lambda v: [*p[:-1], v])
-        ) if n > 1 else st.nothing(),
-    )))
-    def test_values_with_repeats_against_quadratic(self, module, values):
-        n = len(values)
-        naive = sum(1 for a in range(n) for b in range(a + 1, n) if values[a] > values[b])
-        assert module.count_inversions(values) == naive
 
     @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1])
     def test_closed_forms_at_tree_power_of_two_edges(self, kernel, n):
@@ -447,7 +436,7 @@ class TestKernelBuild:
 
         source = Path(_kernels_py.__file__).with_name("_kernels.c")
         proc = subprocess.run(
-            ["cc", "-Wall", "-Wextra", "-Werror", *_FLAGS,
+            ["cc", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", *_FLAGS,
              "-o", str(tmp_path / "kernels.so"), str(source)],
             capture_output=True, text=True, timeout=120,
         )

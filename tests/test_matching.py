@@ -55,6 +55,20 @@ class TestCountCopies:
                     for tau in all_perms(n):
                         assert matching.count_copies(pi, tau) == matching.count_copies_naive(pi, tau)
 
+    def test_naive_refuses_past_its_subset_budget(self, monkeypatch):
+        monkeypatch.setattr(matching, "NAIVE_SUBSET_BUDGET", 10)
+        inc = Permutation.increasing
+        assert matching.count_copies_naive(inc(2), inc(5)) == comb(5, 2) == 10
+        # C(6, 5) = 6 is within the budget, though C(6, 2) = 15 and
+        # C(6, 3) = 20, which are refused, lie on the way to it
+        assert matching.count_copies_naive(inc(5), inc(6)) == comb(6, 5) == 6
+        for k, n in ((2, 6), (3, 6), (29, 30)):
+            with pytest.raises(ValueError, match=rf"C\({n}, {k}\) subsets exceed 10$"):
+                matching.count_copies_naive(inc(k), inc(n))
+        assert matching.count_copies_naive(inc(7), inc(6)) == 0
+        with pytest.raises(ValueError, match="empty pattern"):
+            matching.count_copies_naive(Permutation(()), inc(6))
+
     def test_detection_iff_positive_count(self):
         for pi in all_perms(3):
             for tau in all_perms(5):

@@ -219,21 +219,34 @@ static int is_separator(unsigned char c)
 /* Number of tokens in s[0..len) when every token is 1 to MAX_DIGITS ASCII
  * digits and every other byte is a separator; -1 otherwise, for the caller
  * to parse s some other way.  Each round skips the separators before a
- * token, then scans its digits. */
-long count_values(const char *s, long len)
+ * token, then scans its digits.
+ *
+ * On success *canonical tells whether s, less one final '\n', is what
+ * format_values writes for the tokens: single spaces between them, none
+ * around them, and no leading zero. */
+long count_values(const char *s, long len, int *canonical)
 {
     const unsigned char *u = (const unsigned char *)s;
     long count = 0, i = 0;
+    int canon = 1;
     for (;;) {
+        long gap_start = i;
         while (i < len && is_separator(u[i]))
             i++;
-        if (i == len)
+        long gap = i - gap_start;
+        if (i == len) {
+            *canonical = canon && (gap == 0 || (gap == 1 && u[i - 1] == '\n'));
             return count;
+        }
+        if (gap != (count > 0) || (gap == 1 && u[i - 1] != ' '))
+            canon = 0;
         long start = i;
         while (i < len && (unsigned char)(u[i] - '0') < 10)
             i++;
         if (i == start || i - start > MAX_DIGITS)
             return -1;
+        if (u[start] == '0' && i - start > 1)
+            canon = 0;
         count++;
     }
 }

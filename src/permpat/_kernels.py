@@ -10,7 +10,8 @@ leaves the pure-Python kernels in charge.
 
 Every function reads an ``array('l')`` argument in place and copies any
 other sequence into one first.  ``parse_values`` parses ASCII digits and
-separators in C and hands any other text to the pure-Python parser.
+separators in C, telling canonical text on the same walk, and hands any
+other text to the pure-Python parser.
 """
 from __future__ import annotations
 
@@ -85,7 +86,7 @@ def _load() -> ctypes.CDLL:
         "count_pattern": (ctypes.c_longlong, (c_void_p, c_long, c_void_p, c_long, ctypes.c_int, ctypes.c_longlong)),
         "count_inversions": (ctypes.c_longlong, (c_void_p, c_long)),
         "is_permutation": (ctypes.c_int, (c_void_p, c_long)),
-        "count_values": (c_long, (ctypes.c_char_p, c_long)),
+        "count_values": (c_long, (ctypes.c_char_p, c_long, ctypes.POINTER(ctypes.c_int))),
         "parse_values": (None, (ctypes.c_char_p, c_long, c_void_p)),
         "format_length": (c_long, (c_void_p, c_long)),
         "format_values": (None, (c_void_p, c_long, c_void_p)),
@@ -173,18 +174,20 @@ def is_permutation(values: Sequence[int]) -> bool:
     return bool(ok)
 
 
-def parse_values(text: str) -> array:
-    """The whitespace-separated integers of text, as ``int`` reads each one."""
+def parse_values(text: str) -> tuple[array, bool]:
+    """The whitespace-separated integers of text, as ``int`` reads each one,
+    and whether text, less one final newline, is their ``format_values``."""
     try:
         raw = text.encode("ascii")
     except UnicodeEncodeError:
         return _kernels_py.parse_values(text)
-    count = _lib.count_values(raw, len(raw))
+    canonical = ctypes.c_int()
+    count = _lib.count_values(raw, len(raw), ctypes.byref(canonical))
     if count < 0:  # signs, underscores, tokens of 19 or more digits
         return _kernels_py.parse_values(text)
     vals = array("l", [0]) * count
     _lib.parse_values(raw, len(raw), vals.buffer_info()[0])
-    return vals
+    return vals, bool(canonical.value)
 
 
 def format_values(values: Sequence[int]) -> str:

@@ -147,12 +147,14 @@ def is_permutation(values: Sequence[int]) -> bool:
     return n == 0 or (min(values) >= 1 and max(values) <= n and len(set(values)) == n)
 
 
-def parse_values(text: str) -> array:
-    """The whitespace-separated integers of text, as ``int`` reads each one.
+def parse_values(text: str) -> tuple[array, bool]:
+    """The whitespace-separated integers of text, as ``int`` reads each one,
+    and whether text, less one final newline, is their ``format_values``.
 
     A token outside the range of a C long raises OverflowError.
     """
-    return array("l", map(int, text.split()))
+    vals = array("l", map(int, text.split()))
+    return vals, text.removesuffix("\n") == format_values(vals)
 
 
 def format_values(values: Sequence[int]) -> str:

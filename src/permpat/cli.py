@@ -23,11 +23,27 @@ PARSE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _load_permutation(value: str) -> Permutation:
+class _Echo:
+    """A permutation text to echo in a report: ``to_text()`` output, or an
+    input already in that form.  It holds only ASCII digits, '-' and single
+    spaces, which json.dumps would copy unchanged."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _load_permutation(value: str) -> tuple[Permutation, _Echo]:
+    """The permutation of an inline or ``@path`` argument, and its echo."""
     if value.startswith("@"):
         with open(value[1:], "r", encoding="utf-8") as fh:
             value = fh.read()
-    return Permutation.parse(value)
+    perm, text = Permutation.parse_with_text(value)
+    return perm, _Echo(text)
 
 
 def _parse_epsilon(value: str) -> Fraction:
@@ -82,6 +98,23 @@ def _decimal(value: int, name: str) -> str:
         ) from None
 
 
+def _json_pieces(obj) -> Iterator[str]:
+    """json.dumps(obj) in pieces, for dicts with str keys; each _Echo's text
+    is one piece, between quotes, so no encoder scans it."""
+    if isinstance(obj, _Echo):
+        yield '"'
+        yield obj.text
+        yield '"'
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (key, val) in enumerate(obj.items()):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from _json_pieces(val)
+        yield "}"
+    else:
+        yield json.dumps(obj)
+
+
 def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) -> None:
     report = {
         "command": command,
@@ -94,7 +127,8 @@ def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) ->
         # json.dumps escapes every control character, so there is no ANSI
         # code for click.echo to strip; writing directly skips its copy and
         # scan of a line that holds a whole echoed text
-        sys.stdout.write(json.dumps(report) + "\n")
+        sys.stdout.writelines(_json_pieces(report))
+        sys.stdout.write("\n")
         sys.stdout.flush()
         return
     click.echo(f"command: {command}")
@@ -136,15 +170,15 @@ def detect(pattern: str, text: str, left_aligned: bool, expect: str | None, fmt:
     """Decide whether the text contains the pattern."""
     started = time.perf_counter()
     with _usage_errors():
-        pi = _load_permutation(pattern)
-        tau = _load_permutation(text)
+        pi, pi_echo = _load_permutation(pattern)
+        tau, tau_echo = _load_permutation(text)
         if left_aligned:
             verdict = matching.contains_left_aligned(pi, tau)
         else:
             verdict = matching.contains(pi, tau)
     _emit(
         "detect",
-        {"pattern": pi.to_text(), "text": tau.to_text(), "left_aligned": left_aligned},
+        {"pattern": pi_echo, "text": tau_echo, "left_aligned": left_aligned},
         {"contains": verdict},
         started,
         fmt,
@@ -166,13 +200,12 @@ def count(pattern: str | None, text: str, mode: str, fmt: str) -> None:
     if mode != "inversions" and pattern is None:
         raise click.UsageError("--pattern is required for this mode")
     with _usage_errors():
-        tau = _load_permutation(text)
-        inputs: dict = {"text": tau.to_text(), "mode": mode}
+        tau, tau_echo = _load_permutation(text)
+        inputs: dict = {"text": tau_echo, "mode": mode}
         if mode == "inversions":
             result: dict = {"count": str(matching.count_inversions(tau))}
         else:
-            pi = _load_permutation(pattern)
-            inputs["pattern"] = pi.to_text()
+            pi, inputs["pattern"] = _load_permutation(pattern)
             if mode == "exact":
                 result = {"count": str(matching.count_copies(pi, tau))}
             elif mode == "naive":
@@ -258,13 +291,13 @@ def gap_build(pattern: str, text: str, epsilon: str, cap: int | None, fmt: str) 
     """Run the full reduction (threshold branch or inflation)."""
     started = time.perf_counter()
     with _usage_errors():
-        pi = _load_permutation(pattern)
-        tau = _load_permutation(text)
+        pi, pi_echo = _load_permutation(pattern)
+        tau, tau_echo = _load_permutation(text)
         eps = _parse_epsilon(epsilon)
         instance = gap.build_gap_instance(pi, tau, eps, max_text_len=cap)
     _emit(
         "gap build",
-        {"pattern": pi.to_text(), "text": tau.to_text(), "epsilon": str(eps)},
+        {"pattern": pi_echo, "text": tau_echo, "epsilon": str(eps)},
         instance.to_json_obj(),
         started,
         fmt,
@@ -281,15 +314,15 @@ def gap_core(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> 
     """Run the inflation step alone with an explicit alpha."""
     started = time.perf_counter()
     with _usage_errors():
-        pi = _load_permutation(pattern)
-        tau = _load_permutation(text)
+        pi, pi_echo = _load_permutation(pattern)
+        tau, tau_echo = _load_permutation(text)
         core = gap.build_core(pi, tau, alpha, max_text_len=cap)
     _emit(
         "gap core",
-        {"pattern": pi.to_text(), "text": tau.to_text(), "alpha": alpha},
+        {"pattern": pi_echo, "text": tau_echo, "alpha": alpha},
         {
-            "inflated_pattern": core.pattern.to_text(),
-            "inflated_text": core.text.to_text(),
+            "inflated_pattern": _Echo(core.pattern.to_text()),
+            "inflated_text": _Echo(core.text.to_text()),
             "k_prime": core.k_prime,
             "n_prime": core.n_prime,
         },
@@ -333,12 +366,12 @@ def gap_verify(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -
     """Run the yes/no-case property battery on one desk-scale input."""
     started = time.perf_counter()
     with _usage_errors():
-        pi = _load_permutation(pattern)
-        tau = _load_permutation(text)
+        pi, pi_echo = _load_permutation(pattern)
+        tau, tau_echo = _load_permutation(text)
         report = gap.verify_core(pi, tau, alpha, max_text_len=cap)
     _emit(
         "gap verify",
-        {"pattern": pi.to_text(), "text": tau.to_text(), "alpha": alpha},
+        {"pattern": pi_echo, "text": tau_echo, "alpha": alpha},
         report.to_json_obj(),
         started,
         fmt,

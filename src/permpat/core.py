@@ -67,16 +67,32 @@ class Permutation:
         all-digit token of length > 1 is read as a digit string ("24153"),
         which is only expressible for lengths up to 9.
         """
-        head = text.split(None, 1)
-        if len(head) == 1 and head[0].isdigit() and len(head[0]) > 1:
-            return cls(int(ch) for ch in head[0])
+        return cls._parse(text)[0]
+
+    @classmethod
+    def parse_with_text(cls, text: str) -> tuple["Permutation", str]:
+        """``parse(text)`` and the result's ``to_text()``, which is text
+        itself, less one final newline, when text is already in that form."""
+        perm, canonical = cls._parse(text)
+        return perm, text.removesuffix("\n") if canonical else perm.to_text()
+
+    @classmethod
+    def _parse(cls, text: str) -> tuple["Permutation", bool]:
+        """parse(text), and whether text, less one final newline, is the
+        result's to_text()."""
+        # strip() copies text only when whitespace surrounds it, and
+        # isdigit() stops at the first separator; split(None, 1) would copy
+        # all of a long text after its first token
+        token = text.strip()
+        if len(token) > 1 and token.isdigit():
+            return cls(int(ch) for ch in token), False
         try:
-            packed = backend.parse_values(text)
+            packed, canonical = backend.parse_values(text)
         except OverflowError:
             raise ValueError(_OUTSIDE_C_LONG) from None
         perm = cls.__new__(cls)
         perm._adopt(packed)
-        return perm
+        return perm, canonical
 
     @classmethod
     def increasing(cls, n: int) -> "Permutation":
@@ -190,7 +206,7 @@ def inflate(sigma: Permutation, blocks: Sequence[Permutation]) -> Permutation:
         acc += len(blocks[pos])
     out: list[int] = []
     for pos, block in enumerate(blocks):
-        out.extend(offsets[pos] + v for v in block.values)
+        out.extend(map(offsets[pos].__add__, block.packed))
     return Permutation(out)
 
 

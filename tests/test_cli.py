@@ -1,14 +1,16 @@
 """Command-line surface: reports, exit codes, file formats."""
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
 
-from permpat import backend
+from permpat import backend, build_core, count_inversions
 from permpat.cli import main
+from permpat.core import Permutation
 
 
 @pytest.fixture
@@ -136,6 +138,67 @@ class TestCount:
     def test_counts_are_decimal_strings(self, runner):
         res = run(runner, "count", "--pattern", "12", "--text", " ".join(map(str, range(1, 31))))
         assert payload(res)["result"]["count"] == str(30 * 29 // 2)
+
+
+def assert_dumps_line(stdout):
+    """stdout is one json.dumps line; returns the report."""
+    report = json.loads(stdout)
+    assert stdout == json.dumps(report) + "\n"
+    return report
+
+
+ECHO_VALUES = random.Random(17).sample(range(1, 10**5 + 1), 10**5)
+ECHO_FILES = {
+    "canonical": " ".join(map(str, ECHO_VALUES)),
+    "final-newline": " ".join(map(str, ECHO_VALUES)) + "\n",
+    "double-space": " ".join(map(str, ECHO_VALUES[:50])) + "  " + " ".join(map(str, ECHO_VALUES[50:])),
+    "tab": "\t".join(map(str, ECHO_VALUES)),
+    "leading-zero": "0" + " ".join(map(str, ECHO_VALUES)),
+}
+
+
+class TestEcho:
+    """Each echoed text is the permutation's one-line form, written into a
+    report that equals json.dumps of itself, whether or not the input was
+    already canonical."""
+
+    @pytest.mark.parametrize("name", list(ECHO_FILES))
+    def test_file_echo(self, runner, tmp_path, name):
+        f = tmp_path / f"{name}.txt"
+        f.write_text(ECHO_FILES[name])
+        res = run(runner, "count", "--mode", "inversions", "--text", f"@{f}")
+        assert res.exit_code == 0
+        report = assert_dumps_line(res.stdout)
+        assert report["inputs"]["text"] == " ".join(map(str, ECHO_VALUES))
+        assert report["result"] == {"count": str(count_inversions(Permutation(ECHO_VALUES)))}
+
+    def test_inline_digit_string(self, runner):
+        res = run(runner, "detect", "--pattern", "21", "--text", "24153")
+        report = assert_dumps_line(res.stdout)
+        assert (report["inputs"]["pattern"], report["inputs"]["text"]) == ("2 1", "2 4 1 5 3")
+
+    def test_gap_core_inflations(self, runner):
+        res = run(runner, "gap", "core", "--pattern", "21", "--text", "2 4\t1 3\n", "--alpha", "2")
+        assert res.exit_code == 0
+        report = assert_dumps_line(res.stdout)
+        core = build_core(Permutation((2, 1)), Permutation((2, 4, 1, 3)), 2)
+        assert report["inputs"]["text"] == "2 4 1 3"
+        assert report["result"]["inflated_pattern"] == " ".join(map(str, core.pattern))
+        assert report["result"]["inflated_text"] == " ".join(map(str, core.text))
+
+    def test_module_run_writes_the_same_line(self, tmp_path):
+        # through the interpreter's own sys.stdout, not the test runner's
+        f = tmp_path / "final-newline.txt"
+        f.write_text(ECHO_FILES["final-newline"])
+        src = os.path.dirname(os.path.dirname(sys.modules["permpat"].__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpat.cli", "count", "--mode", "inversions", "--text", f"@{f}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = assert_dumps_line(proc.stdout)
+        assert report["inputs"]["text"] == " ".join(map(str, ECHO_VALUES))
 
 
 @pytest.fixture

@@ -101,6 +101,19 @@ class TestPermutation:
         p = Permutation.parse("3 1 2")
         assert Permutation.parse(p.to_text()) == p
 
+    def test_parse_with_text(self):
+        # a canonical input is its own text, less one final newline; any
+        # other input gets to_text()
+        canonical = "3 1 2"
+        p, text = Permutation.parse_with_text(canonical)
+        assert p == Permutation((3, 1, 2)) and text is canonical
+        assert Permutation.parse_with_text("3 1 2\n") == (p, "3 1 2")
+        for other in ("312", " 3 1 2", "3\t1 2", "03 1 2", "3 1 2\n\n", "+3 1 2"):
+            assert Permutation.parse_with_text(other) == (p, "3 1 2")
+        assert Permutation.parse_with_text("") == (Permutation(()), "")
+        with pytest.raises(ValueError, match="position 2 repeats"):
+            Permutation.parse_with_text("1 1")
+
     def test_reverse_complement(self):
         p = Permutation.parse("24153")
         assert p.reverse().values == (3, 5, 1, 4, 2)

@@ -81,3 +81,26 @@ def test_load_instance_returns_or_raises_value_error(tmp_path, doc):
         cli._load_instance(str(path))
     except ValueError:
         pass
+
+
+@st.composite
+def permutation_texts(draw):
+    """A permutation of 1..n, n <= 9, mostly in canonical form, but with
+    some other separators, leading zeros and plus signs."""
+    values = draw(st.integers(0, 9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    tokens = [draw(st.sampled_from([""] * 6 + ["0", "+"])) + str(v) for v in values]
+    gaps = [draw(st.sampled_from([" "] * 6 + ["  ", "\t", "\n", "\r\n", "\x1c", "\xa0"])) for _ in tokens]
+    head = draw(st.sampled_from([""] * 6 + [" ", "\n", "\t"]))
+    tail = draw(st.sampled_from([""] * 4 + ["\n"] * 3 + [" ", "\n\n", "\r\n"]))
+    return head + "".join(g + t for g, t in zip([""] + gaps, tokens)) + tail
+
+
+@given(permutation_texts())
+@settings(max_examples=200)
+def test_parse_with_text_echoes_to_text(text):
+    # the echo is to_text(), whether it is the input itself or written anew
+    try:
+        perm, echo = Permutation.parse_with_text(text)
+    except ValueError:
+        return
+    assert echo == perm.to_text()

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
-from permpat import _kernels_py, backend, matching
+from permpat import _kernels_py, backend, cli, matching
 from permpat.core import Permutation
 
 try:
@@ -205,19 +206,38 @@ class TestContract:
         assert (pattern.tolist(), text.tolist()) == ([2, 1, 3], [5, 3, 6, 1, 4, 2, 7])
 
     def test_parse_and_format(self, kernel):
-        assert kernel.parse_values(" 2\t4 1\n5\x1c3 ") == array("l", (2, 4, 1, 5, 3))
-        assert kernel.parse_values("") == array("l")
-        assert kernel.parse_values("+5 007 1_0 -3 \u0663") == array("l", (5, 7, 10, -3, 3))
+        assert kernel.parse_values(" 2\t4 1\n5\x1c3 ") == (array("l", (2, 4, 1, 5, 3)), False)
+        assert kernel.parse_values("") == (array("l"), True)
+        assert kernel.parse_values("+5 007 1_0 -3 \u0663") == (array("l", (5, 7, 10, -3, 3)), False)
         with pytest.raises(ValueError):
             kernel.parse_values("1 x")
         with pytest.raises(OverflowError):
             kernel.parse_values("1 " + "9" * 19)
         # 18 digits are the longest token the C parser reads itself; 19 go
         # to the pure parser, which reads this one as a C long
-        assert kernel.parse_values(" \t" + "9" * 18 + " 1\n") == array("l", (10**18 - 1, 1))
-        assert kernel.parse_values("\n" + "1" * 19 + " 2 \x1f") == array("l", (int("1" * 19), 2))
+        assert kernel.parse_values(" \t" + "9" * 18 + " 1\n") == (array("l", (10**18 - 1, 1)), False)
+        assert kernel.parse_values("\n" + "1" * 19 + " 2 \x1f") == (array("l", (int("1" * 19), 2)), False)
+        assert kernel.parse_values("9" * 18 + " 1\n") == (array("l", (10**18 - 1, 1)), True)
+        assert kernel.parse_values("1" * 19 + " 2") == (array("l", (int("1" * 19), 2)), True)
         assert kernel.format_values(array("l", (2, -4, 0, 10))) == "2 -4 0 10"
         assert kernel.format_values(array("l")) == ""
+
+    @pytest.mark.parametrize("text, values, canonical", [
+        ("", (), True),
+        ("\n", (), True),
+        ("0", (0,), True),
+        ("01 2", (1, 2), False),
+        ("1\t2", (1, 2), False),
+        ("1\r\n", (1,), False),
+        ("1  2", (1, 2), False),
+        (" 1", (1,), False),
+        ("1 ", (1,), False),
+        ("1 2\n\n", (1, 2), False),
+        ("-3 1", (-3, 1), True),
+        ("10 0 7\n", (10, 0, 7), True),
+    ])
+    def test_parse_tells_canonical_text(self, kernel, text, values, canonical):
+        assert kernel.parse_values(text) == (array("l", values), canonical)
 
     def test_is_permutation(self, kernel):
         assert kernel.is_permutation(array("l"))
@@ -244,10 +264,51 @@ def test_compiled_path_makes_no_per_element_python_pass(monkeypatch):
     pi = Permutation.parse("2 3 1")
     assert tau.to_text() == " ".join(map(str, values))
     # the longest token the C parser reads, with separators at both ends
-    assert _kernels.parse_values("\x1f" + "9" * 18 + " ") == array("l", [10**18 - 1])
+    assert _kernels.parse_values("\x1f" + "9" * 18 + " ") == (array("l", [10**18 - 1]), False)
     monkeypatch.setattr(_kernels, "array", refuse)
     assert matching.count_inversions(tau) == inversions
     assert matching.count_copies(pi, tau) == copies
+
+
+@pytest.mark.skipif(backend.BACKEND_NAME != "compiled", reason="compiled kernels not in use")
+def test_canonical_file_is_echoed_without_format_or_dumps(monkeypatch, tmp_path):
+    # a canonical text is echoed as read: neither format_values nor
+    # json.dumps passes over it; a tab-separated one is echoed by to_text()
+    values = list(range(1, 10**4 + 1))
+    random.Random(6).shuffle(values)
+    text = " ".join(map(str, values))
+    canonical, tabbed = tmp_path / "canonical.txt", tmp_path / "tabbed.txt"
+    canonical.write_text(text)
+    tabbed.write_text("\t".join(map(str, values)))
+    formatted = []
+    real_format, real_dumps = _kernels.format_values, json.dumps
+
+    def format_values(vals):
+        formatted.append(len(vals))
+        return real_format(vals)
+
+    def dumps(obj, *args, **kwargs):
+        out = real_dumps(obj, *args, **kwargs)
+        assert text not in out, "json.dumps encoded the echoed text"
+        return out
+
+    monkeypatch.setattr(_kernels, "format_values", format_values)
+    monkeypatch.setattr(backend, "format_values", format_values)
+    monkeypatch.setattr(json, "dumps", dumps)
+
+    def report(path):
+        res = CliRunner().invoke(cli.main, ["count", "--mode", "inversions", "--text", f"@{path}"])
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.stdout)
+        del doc["elapsed_ms"]
+        return doc
+
+    echoed = report(canonical)
+    assert formatted == []
+    assert echoed["inputs"]["text"] == text
+    assert echoed["result"] == {"count": str(_kernels.count_inversions(values))}
+    assert report(tabbed) == echoed
+    assert formatted == [len(values)]
 
 
 def outcome(fn, *args):
@@ -279,6 +340,30 @@ ASCII_TEXTS = st.lists(
     st.sampled_from([" ", "\t", "\n", "\x1c", "\x1f", "0", "7", "12", "007", "9" * 18]), max_size=12
 ).map("".join)
 TEXTS = st.one_of(ASCII_TEXTS, st.lists(TOKENS, max_size=12).map("".join), st.text(max_size=30))
+# format_values output, some with one or two final newlines and some with
+# one separator changed, so the flag is seen on both sides of its edge
+CANONICAL_TEXTS = st.builds(
+    lambda values, tail: " ".join(map(str, values)) + tail,
+    st.lists(st.one_of(st.integers(0, 30), C_LONG), max_size=8),
+    st.sampled_from(["", "\n", "\n\n", " ", "\r\n"]),
+).flatmap(lambda text: st.one_of(
+    st.just(text),
+    st.integers(0, max(len(text) - 1, 0)).flatmap(
+        lambda i: st.sampled_from([" ", "  ", "\t", "0", "\n"]).map(lambda c: text[:i] + c + text[i + 1:])
+    ),
+))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=st.one_of(TEXTS, CANONICAL_TEXTS))
+def test_canonical_flag_property(text):
+    # canonical exactly when the text, less one final newline, is what
+    # format_values writes, on each backend
+    for kernel in KERNELS:
+        result = outcome(kernel.parse_values, text)
+        if isinstance(result, tuple):
+            values, canonical = result
+            assert canonical is (text.removesuffix("\n") == kernel.format_values(values))
 
 
 @pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernels not built")
@@ -337,6 +422,33 @@ class TestBackendsAgree:
         assert _kernels.count_pattern(pat, txt, pin, limit) == _kernels_py.count_pattern(
             pat, txt, pin, limit
         )
+
+    @pytest.mark.parametrize("k", [17, 64, 200, 500])
+    def test_long_patterns_agree(self, k):
+        # long patterns exercise the compiled kernel's O(k^2) loop that
+        # finds each position's order constraints, against the pure
+        # kernel's bisection; each text is the pattern with a few values
+        # inserted, so copies exist and the search stays short
+        rng = random.Random(k)
+        pat = rng.sample(range(1, k + 1), k)
+        assert _kernels.count_pattern(pat, pat) == _kernels_py.count_pattern(pat, pat) == 1
+        assert _kernels.count_pattern(pat[::-1], pat) == _kernels_py.count_pattern(pat[::-1], pat) == 0
+        # swapping values v and v + 1 breaks exactly the constraint between
+        # their positions, so a text of the same length holds no copy
+        for v in rng.sample(range(1, k), min(k - 1, 20)):
+            txt = [v + 1 if x == v else v if x == v + 1 else x for x in pat]
+            assert _kernels.count_pattern(pat, txt) == _kernels_py.count_pattern(pat, txt) == 0
+        for extra in (1, 2, 3):
+            points = [float(v) for v in pat]
+            for half in rng.sample(range(k + 1), extra):
+                points.insert(rng.randint(0, len(points)), half + 0.5)
+            rank = {v: r for r, v in enumerate(sorted(points), start=1)}
+            txt = [rank[v] for v in points]
+            for pin in (False, True):
+                for limit in (0, 1):
+                    expected = _kernels_py.count_pattern(pat, txt, pin, limit)
+                    assert _kernels.count_pattern(pat, txt, pin, limit) == expected
+                    assert expected >= 1 or pin
 
     @pytest.mark.parametrize("n", [2048, 2049])
     def test_layered_counts_on_both_sides_of_the_table_cap(self, n):

@@ -7,8 +7,9 @@
  * modifies; every function that allocates returns -1 when that fails.
  *
  * Counts are long long.  Each step of the search adds at most n to the
- * count: one copy in the scan, or at most n copies from one range query of
- * the last-level table, which serves only texts of n <= 2048.  A count past
+ * count: one copy in the scan, or, in the pass over the prefix-count table
+ * that serves only texts of n <= 2048, at most n copies of the last pattern
+ * position for each text position the pass visits.  A count past
  * 2^63 - 1 would thus take over 2^63 / 2048 > 4 * 10^15 steps first: it
  * cannot overflow in practice.  The inversions of a permutation of 1..n
  * number at most n(n - 1)/2, under 2^63 for the n <= UINT32_MAX that
@@ -22,7 +23,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The last-level table serves texts up to this length: it then takes at most
+/* The prefix-count table serves texts up to this length: it then takes at most
  * 2049 * 2050 * 2 bytes (8.4 MB), and its counts fit in an unsigned short. */
 #define TABLE_MAX_N 2048
 
@@ -46,6 +47,40 @@ static unsigned short *below_table(const long *txt, long n)
     return below;
 }
 
+/* Copies of the last two pattern positions, k - 2 at a text position
+ * i..last with a value in (lo, hi) and k - 1 at a later one with a value in
+ * (l, h): the sum over those i of below[i + 1][h] - below[i + 1][l + 1].
+ * l is txt[i] when at_lo (pred[k - 1] is k - 2), else lo2; h is txt[i] when
+ * at_hi, else hi2.
+ *
+ * Whether a text value falls in (lo, hi) is unpredictable on random texts,
+ * so no branch asks it: a first loop writes every position to hit[] and
+ * advances past it only when its value is in range, and a second loop sums
+ * the table counts of the hits, choosing l and h with masks.  Misses cost
+ * no table read, so a pass stays cheap also when few values fall in range
+ * (a single loop that masks each candidate's table count out of the sum
+ * made 1324 on a layered text of n = 2047 three times slower). */
+static long long last_two(const unsigned short *below, long w, const long *txt,
+                          long i, long last, long lo, long hi,
+                          long lo2, long hi2, int at_lo, int at_hi, long *hit)
+{
+    unsigned long span = (unsigned long)(hi - lo - 1);
+    long m = 0;
+    for (; i <= last; i++) {
+        hit[m] = i;
+        m += (unsigned long)txt[i] - (unsigned long)lo - 1 < span;
+    }
+    long mlo = -(long)at_lo, mhi = -(long)at_hi;
+    long long sum = 0;
+    for (long t = 0; t < m; t++) {
+        long x = txt[hit[t]];
+        long l = (x & mlo) | (lo2 & ~mlo), h = (x & mhi) | (hi2 & ~mhi);
+        const unsigned short *row = below + (size_t)(hit[t] + 1) * (size_t)w;
+        sum += row[h] - row[l + 1];
+    }
+    return sum;
+}
+
 /* Order-isomorphic occurrences of pat[0..k) in txt[0..n), values in 1..k and
  * 1..n.  Backtracks over pattern positions left to right; each position's
  * candidates are bounded by the values matched at pred[j] (the earlier
@@ -53,20 +88,25 @@ static unsigned short *below_table(const long *txt, long n)
  * larger).  pin_first puts pattern position 0 on text position 0; a
  * positive limit stops the search once that many copies are found.
  *
- * A full count (limit 0) with at least three free pattern positions on a
- * text of n <= TABLE_MAX_N answers the last position with one range count,
- * below[i][hi] - below[i][lo + 1], instead of a scan.  The table is built
- * the first time the search reaches the last position, so a search whose
- * prefixes all die early never pays for it. */
+ * A full count (limit 0) with at least two free pattern positions on a text
+ * of n <= TABLE_MAX_N never descends past position k - 2: there last_two
+ * adds the copies of both last positions from the prefix-count table in one
+ * pass over the candidates, with no branch per candidate, so the search
+ * backtracks once per prefix of k - 2 positions instead of once per
+ * candidate at k - 2.  The table, and the n hit[] slots of that pass, exist
+ * only then; the table is built the first time the search reaches position
+ * k - 2, so a search whose prefixes all die early never pays for it. */
 long long count_pattern(const long *pat, long k, const long *txt, long n,
                         int pin_first, long long limit)
 {
     if (k < 1 || k > n)
         return 0;
-    long *work = malloc(4 * (size_t)k * sizeof(long));
+    int use_table = limit == 0 && k - (pin_first != 0) >= 2 && n <= TABLE_MAX_N;
+    long *work = malloc((4 * (size_t)k + (use_table ? (size_t)n : 0)) * sizeof(long));
     if (work == NULL)
         return -1;
     long *pred = work, *succ = work + k, *val = work + 2 * k, *idx = work + 3 * k;
+    long *hit = work + 4 * k;
 
     for (long j = 0; j < k; j++) {
         long lo = 0, hi = k + 1, pj = pat[j];
@@ -82,7 +122,6 @@ long long count_pattern(const long *pat, long k, const long *txt, long n,
         }
     }
 
-    int use_table = limit == 0 && k - (pin_first != 0) >= 3 && n <= TABLE_MAX_N;
     unsigned short *below = NULL;
     long long total = 0;
     long j = 0, i = 0;
@@ -91,13 +130,16 @@ long long count_pattern(const long *pat, long k, const long *txt, long n,
         long hi = succ[j] >= 0 ? val[succ[j]] : n + 1;
         long last = (pin_first && j == 0) ? 0 : n - (k - j);
         int descended = 0;
-        if (j == k - 1 && use_table) {
+        if (j == k - 2 && use_table) {
             if (below == NULL && (below = below_table(txt, n)) == NULL) {
                 total = -1;
                 goto done;
             }
-            const unsigned short *row = below + (size_t)i * (size_t)(n + 2);
-            total += row[hi] - row[lo + 1];
+            long p = pred[k - 1], q = succ[k - 1];
+            long lo2 = p >= 0 && p != k - 2 ? val[p] : 0;
+            long hi2 = q >= 0 && q != k - 2 ? val[q] : n + 1;
+            total += last_two(below, n + 2, txt, i, last, lo, hi, lo2, hi2,
+                              p == k - 2, q == k - 2, hit);
         } else if (j == k - 1) {
             for (; i <= last; i++) {
                 if (lo < txt[i] && txt[i] < hi) {

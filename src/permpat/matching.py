@@ -11,7 +11,7 @@ naive subset-enumeration counter is kept separate as an independent oracle.
 from __future__ import annotations
 
 from itertools import combinations
-from math import isqrt
+from math import comb, isqrt
 
 from permpat import backend
 from permpat.core import Permutation, delete_leftmost
@@ -56,7 +56,12 @@ def contains_left_aligned(pi: Permutation, tau: Permutation) -> bool:
 
 
 def count_copies(pi: Permutation, tau: Permutation) -> BigCount:
-    """Exact number of copies of pi in tau (pruned backtracking)."""
+    """Exact number of copies of pi in tau: by pruned backtracking, or for
+    |pi| = 2 from the inversion count, since every pair of text positions
+    is a copy of exactly one of 12 and 21."""
+    if len(pi) == 2:
+        inversions = count_inversions(tau)
+        return inversions if pi[0] == 2 else comb(len(tau), 2) - inversions
     return backend.count_pattern(pi.packed, tau.packed)
 
 
@@ -94,8 +99,12 @@ def count_copies_naive(pi: Permutation, tau: Permutation) -> BigCount:
 
 def count_left_aligned(pi: Permutation, tau: Permutation) -> BigCount:
     """Exact number of left-aligned copies of pi in tau, by backtracking
-    with the first text position pinned."""
+    with the first text position pinned; for |pi| = 2, the later values
+    below tau's first (tau[0] - 1 of them, for 21) or above it (n - tau[0],
+    for 12)."""
     _require_nonempty(pi, tau)
+    if len(pi) == 2:
+        return tau[0] - 1 if pi[0] == 2 else len(tau) - tau[0]
     return backend.count_pattern(pi.packed, tau.packed, pin_first=True)
 
 

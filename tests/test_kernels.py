@@ -406,7 +406,8 @@ class TestBackendsAgree:
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         # most examples are full counts with k >= 3, which the compiled
-        # kernel answers at the last position from its prefix-count table
+        # kernel answers at the last two positions from its prefix-count
+        # table
         pat=st.one_of(st.integers(3, 6), st.integers(1, 6)).flatmap(
             lambda k: st.permutations(range(1, k + 1))
         ),
@@ -422,6 +423,23 @@ class TestBackendsAgree:
         assert _kernels.count_pattern(pat, txt, pin, limit) == _kernels_py.count_pattern(
             pat, txt, pin, limit
         )
+
+    def test_full_counts_agree_exhaustively(self):
+        # every pattern of length 2-5, pinned or not, without a limit: the
+        # compiled kernel's pass over the last two positions, against the
+        # pure scan, on the identity, its reverse and seeded random texts
+        rng = random.Random(40)
+        texts = []
+        for n in (2, 5, 9, 16, 25):
+            texts += [list(range(1, n + 1)), list(range(n, 0, -1))]
+        for n in [*range(2, 12), *rng.sample(range(12, 41), 10), 40]:
+            texts.append(rng.sample(range(1, n + 1), n))
+        for k in range(2, 6):
+            for pat in itertools.permutations(range(1, k + 1)):
+                for txt in texts:
+                    for pin in (False, True):
+                        expected = _kernels_py.count_pattern(pat, txt, pin)
+                        assert _kernels.count_pattern(pat, txt, pin) == expected, (pat, txt, pin)
 
     @pytest.mark.parametrize("k", [17, 64, 200, 500])
     def test_long_patterns_agree(self, k):
@@ -450,10 +468,10 @@ class TestBackendsAgree:
                     assert _kernels.count_pattern(pat, txt, pin, limit) == expected
                     assert expected >= 1 or pin
 
-    @pytest.mark.parametrize("n", [2048, 2049])
+    @pytest.mark.parametrize("n", [2047, 2048, 2049])
     def test_layered_counts_on_both_sides_of_the_table_cap(self, n):
         # decreasing runs of sizes 1-3, increasing across runs: the table
-        # serves n = 2048, the scan n = 2049, and both must give the closed
+        # serves n <= 2048, the scan n = 2049, and both must give the closed
         # forms
         rng = random.Random(n)
         sizes = []
@@ -471,6 +489,18 @@ class TestBackendsAgree:
         # pinned 2143: the 1 is in the first run, the 43 in one later run
         assert _kernels.count_pattern((2, 1, 4, 3), text, True) == (sizes[0] - 1) * sum(
             comb(s, 2) for s in sizes[1:]
+        )
+        if n > 2048:  # unpinned 4-patterns take the quartic scan there
+            return
+        # 2143: the 21 in one run, the 43 in a later one; 1324: the 1, the
+        # 32 and the 4 in three runs from left to right
+        before = [n - a - s for s, a in zip(sizes, after)]
+        pairs_before = [sum(comb(s, 2) for s in sizes[:b]) for b in range(len(sizes))]
+        assert _kernels.count_pattern((2, 1, 4, 3), text) == sum(
+            comb(s, 2) * p for s, p in zip(sizes, pairs_before)
+        )
+        assert _kernels.count_pattern((1, 3, 2, 4), text) == sum(
+            b * comb(s, 2) * a for s, b, a in zip(sizes, before, after)
         )
 
     @settings(max_examples=400, deadline=None, database=None)
@@ -547,9 +577,15 @@ class TestKernelBuild:
         from permpat._kernels import _FLAGS  # those of the shipped build
 
         source = Path(_kernels_py.__file__).with_name("_kernels.c")
+        strict = ["cc", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror"]
         proc = subprocess.run(
-            ["cc", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", *_FLAGS,
-             "-o", str(tmp_path / "kernels.so"), str(source)],
+            [*strict, *_FLAGS, "-o", str(tmp_path / "kernels.so"), str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the file header's claim, standard C for any cc, also without them
+        proc = subprocess.run(
+            [*strict, "-fsyntax-only", "-x", "c", str(source)],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

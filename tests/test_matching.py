@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permpat import matching
+from permpat import backend, matching
 from permpat.core import Permutation, delete_leftmost, layered
 
 P = Permutation.parse
@@ -162,20 +162,60 @@ class TestInversions:
         assert matching.count_inversions(P("24153")) == 4
         assert matching.count_inversions(Permutation(())) == 0
 
+    # count_copies answers 21 from the inversion count itself, so these
+    # compare with the backtracking kernel
     def test_equals_descent_pattern_count_exhaustive(self):
-        two_one = P("21")
         for n in range(0, 9):
             for tau in all_perms(n):
-                assert matching.count_inversions(tau) == matching.count_copies(two_one, tau)
+                assert matching.count_inversions(tau) == backend.count_pattern((2, 1), tau.packed)
 
     def test_equals_descent_pattern_count_random_large(self):
-        two_one = P("21")
         rng = random.Random(3)
         for n in (40, 300, 1000):
             vals = list(range(1, n + 1))
             rng.shuffle(vals)
             tau = Permutation(vals)
-            assert matching.count_inversions(tau) == matching.count_copies(two_one, tau)
+            assert matching.count_inversions(tau) == backend.count_pattern((2, 1), tau.packed)
+
+
+class TestTwoPatterns:
+    """count_copies and count_left_aligned answer 12 and 21 in closed form."""
+
+    def test_match_naive_on_every_small_text(self):
+        for n in range(1, 8):
+            for tau in all_perms(n):
+                for pi in (P("12"), P("21")):
+                    copies = matching.count_copies_naive(pi, tau)
+                    rest = matching.count_copies_naive(pi, delete_leftmost(tau)) if n > 1 else 0
+                    assert matching.count_copies(pi, tau) == copies
+                    assert matching.count_left_aligned(pi, tau) == copies - rest
+
+    def test_match_the_kernel_on_seeded_texts(self):
+        rng = random.Random(2)
+        for n in [*range(1, 40), *rng.sample(range(40, 301), 12), 300]:
+            vals = list(range(1, n + 1))
+            rng.shuffle(vals)
+            tau = Permutation(vals)
+            for pi in (P("12"), P("21")):
+                assert matching.count_copies(pi, tau) == backend.count_pattern(pi.packed, tau.packed)
+                assert matching.count_left_aligned(pi, tau) == backend.count_pattern(
+                    pi.packed, tau.packed, pin_first=True
+                )
+
+    def test_no_search_at_large_n(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_pattern called for a 2-pattern")
+
+        monkeypatch.setattr(backend, "count_pattern", refuse)
+        n = 4 * 10**4
+        vals = list(range(1, n + 1))
+        random.Random(4).shuffle(vals)
+        tau = Permutation(vals)
+        inversions = matching.count_inversions(tau)
+        assert matching.count_copies(P("21"), tau) == inversions
+        assert matching.count_copies(P("12"), tau) == comb(n, 2) - inversions
+        assert matching.count_left_aligned(P("21"), tau) == vals[0] - 1
+        assert matching.count_left_aligned(P("12"), tau) == n - vals[0]
 
 
 class TestApproxCount:

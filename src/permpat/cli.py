@@ -2,8 +2,8 @@
 
 Reports are single JSON documents on stdout by default (``--format plain``
 for line output); diagnostics go to stderr.  Exit codes: 0 success, 1
-verification or expectation failure, 2 usage/parse error.  Permutation
-arguments are inline one-line notation, or ``@path`` to read from a file.
+verification or expectation failure, 2 usage/parse error or a result too
+long to print.  Permutation arguments are inline one-line notation, or ``@path`` to read from a file.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import contextlib
 import json
 import sys
 import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -86,18 +87,6 @@ def _parse_big_int(value: str) -> int:
     return int(value)
 
 
-def _decimal(value: int, name: str) -> str:
-    """str(value); past Python's int-to-str digit limit, a ValueError that
-    names the value and its size."""
-    try:
-        return str(value)
-    except ValueError:
-        raise ValueError(
-            f"{name} has {gap._decimal_digits(value)} decimal digits, over the"
-            f" {sys.get_int_max_str_digits()}-digit output limit"
-        ) from None
-
-
 def _json_pieces(obj) -> Iterator[str]:
     """json.dumps(obj) in pieces, for dicts with str keys; each _Echo's text
     is one piece, between quotes, so no encoder scans it."""
@@ -138,14 +127,36 @@ def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) ->
         click.echo(f"{key}: {val}")
 
 
+@dataclass
+class _Record:
+    """What a command reports: its echoed inputs, its rendered result, and
+    the stderr line of a failed check (exit 1), if any."""
+
+    inputs: dict = field(default_factory=dict)
+    result: dict = field(default_factory=dict)
+    failure: str | None = None
+
+
 @contextlib.contextmanager
-def _usage_errors() -> Iterator[None]:
-    """Report a ValueError or OSError raised inside as one stderr line, exit 2."""
+def _report(command: str, fmt: str) -> Iterator[_Record]:
+    """Time a command that fills the yielded record, then write its report.
+
+    A ValueError or OSError raised inside, while loading, computing or
+    rendering, is one stderr line and exit 2, with nothing on stdout.
+    Otherwise the report is written, and a set ``failure`` is printed to
+    stderr with exit 1.
+    """
+    started = time.perf_counter()
+    record = _Record()
     try:
-        yield
+        yield record
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(PARSE_ERROR)
+    _emit(command, record.inputs, record.result, started, fmt)
+    if record.failure is not None:
+        click.echo(record.failure, err=True)
+        sys.exit(CHECK_FAILED)
 
 
 _format_option = click.option(
@@ -168,24 +179,17 @@ def main() -> None:
 @_format_option
 def detect(pattern: str, text: str, left_aligned: bool, expect: str | None, fmt: str) -> None:
     """Decide whether the text contains the pattern."""
-    started = time.perf_counter()
-    with _usage_errors():
+    with _report("detect", fmt) as rec:
         pi, pi_echo = _load_permutation(pattern)
         tau, tau_echo = _load_permutation(text)
+        rec.inputs = {"pattern": pi_echo, "text": tau_echo, "left_aligned": left_aligned}
         if left_aligned:
             verdict = matching.contains_left_aligned(pi, tau)
         else:
             verdict = matching.contains(pi, tau)
-    _emit(
-        "detect",
-        {"pattern": pi_echo, "text": tau_echo, "left_aligned": left_aligned},
-        {"contains": verdict},
-        started,
-        fmt,
-    )
-    if expect is not None and verdict != (expect == "yes"):
-        click.echo(f"expectation failed: expected {expect}", err=True)
-        sys.exit(CHECK_FAILED)
+        rec.result = {"contains": verdict}
+        if expect is not None and verdict != (expect == "yes"):
+            rec.failure = f"expectation failed: expected {expect}"
 
 
 @main.command()
@@ -196,34 +200,31 @@ def detect(pattern: str, text: str, left_aligned: bool, expect: str | None, fmt:
 @_format_option
 def count(pattern: str | None, text: str, mode: str, fmt: str) -> None:
     """Count pattern copies (exact, left-aligned, inversions, approximate)."""
-    started = time.perf_counter()
     if mode != "inversions" and pattern is None:
         raise click.UsageError("--pattern is required for this mode")
-    with _usage_errors():
+    with _report("count", fmt) as rec:
         tau, tau_echo = _load_permutation(text)
-        inputs: dict = {"text": tau_echo, "mode": mode}
+        rec.inputs = {"text": tau_echo, "mode": mode}
         if mode == "inversions":
-            result: dict = {"count": str(matching.count_inversions(tau))}
+            rec.result = {"count": str(matching.count_inversions(tau))}
         else:
-            pi, inputs["pattern"] = _load_permutation(pattern)
+            pi, rec.inputs["pattern"] = _load_permutation(pattern)
             if mode == "exact":
-                result = {"count": str(matching.count_copies(pi, tau))}
+                rec.result = {"count": str(matching.count_copies(pi, tau))}
             elif mode == "naive":
-                result = {"count": str(matching.count_copies_naive(pi, tau))}
+                rec.result = {"count": str(matching.count_copies_naive(pi, tau))}
             elif mode == "approx":
-                result = {"estimate": _decimal(matching.approx_count(pi, tau), "estimate")}
+                rec.result = {"estimate": gap._decimal(matching.approx_count(pi, tau), "estimate")}
             else:
                 direct = matching.count_left_aligned(pi, tau)
                 diff = matching.count_left_aligned_by_difference(pi, tau)
-                result = {
+                rec.result = {
                     "direct": str(direct),
                     "difference": str(diff),
                     "agree": direct == diff,
                 }
-    _emit("count", inputs, result, started, fmt)
-    if mode == "left" and not result["agree"]:
-        click.echo("left-aligned counts disagree", err=True)
-        sys.exit(CHECK_FAILED)
+                if direct != diff:
+                    rec.failure = "left-aligned counts disagree"
 
 
 @main.group(name="psi")
@@ -246,8 +247,8 @@ def _load_instance(path: str) -> psi.PsiInstance:
 @_format_option
 def psi_build(instance_file: str, fmt: str) -> None:
     """Build and dump the labeled gadget for an instance file."""
-    started = time.perf_counter()
-    with _usage_errors():
+    with _report("psi build", fmt) as rec:
+        rec.inputs = {"instance": instance_file}
         instance = _load_instance(instance_file)
         pattern_len = psi.pattern_length(instance.g)
         if pattern_len > gap.DEFAULT_MAX_TEXT_LEN:
@@ -255,8 +256,7 @@ def psi_build(instance_file: str, fmt: str) -> None:
                 f"instance too large: the gadget pattern would have {pattern_len} elements,"
                 f" over {gap.DEFAULT_MAX_TEXT_LEN}"
             )
-        gadget = psi.reduce_psi(instance)
-    _emit("psi build", {"instance": instance_file}, gadget.to_json_obj(), started, fmt)
+        rec.result = psi.reduce_psi(instance).to_json_obj()
 
 
 @psi_group.command(name="verify")
@@ -266,14 +266,12 @@ def psi_build(instance_file: str, fmt: str) -> None:
 @_format_option
 def psi_verify(instance_file: str, max_text_len: int, fmt: str) -> None:
     """Run both oracles on an instance and compare."""
-    started = time.perf_counter()
-    with _usage_errors():
-        instance = _load_instance(instance_file)
-        report = psi.verify_reduction(instance, max_text_len=max_text_len)
-    _emit("psi verify", {"instance": instance_file}, report.to_json_obj(), started, fmt)
-    if not report.agree:
-        click.echo("oracle disagreement", err=True)
-        sys.exit(CHECK_FAILED)
+    with _report("psi verify", fmt) as rec:
+        rec.inputs = {"instance": instance_file}
+        report = psi.verify_reduction(_load_instance(instance_file), max_text_len=max_text_len)
+        rec.result = report.to_json_obj()
+        if not report.agree:
+            rec.failure = "oracle disagreement"
 
 
 @main.group(name="gap")
@@ -285,23 +283,15 @@ def gap_group() -> None:
 @click.option("--pattern", required=True)
 @click.option("--text", required=True)
 @click.option("--epsilon", required=True, help="Rational P/Q with 0 < P/Q < 1/2.")
-@click.option("--cap", type=int, default=None, help="Safety cap on the inflated text length.")
 @_format_option
-def gap_build(pattern: str, text: str, epsilon: str, cap: int | None, fmt: str) -> None:
+def gap_build(pattern: str, text: str, epsilon: str, fmt: str) -> None:
     """Run the full reduction (threshold branch or inflation)."""
-    started = time.perf_counter()
-    with _usage_errors():
+    with _report("gap build", fmt) as rec:
         pi, pi_echo = _load_permutation(pattern)
         tau, tau_echo = _load_permutation(text)
         eps = _parse_epsilon(epsilon)
-        instance = gap.build_gap_instance(pi, tau, eps, max_text_len=cap)
-    _emit(
-        "gap build",
-        {"pattern": pi_echo, "text": tau_echo, "epsilon": str(eps)},
-        instance.to_json_obj(),
-        started,
-        fmt,
-    )
+        rec.inputs = {"pattern": pi_echo, "text": tau_echo, "epsilon": str(eps)}
+        rec.result = gap.build_gap_instance(pi, tau, eps).to_json_obj()
 
 
 @gap_group.command(name="core")
@@ -312,23 +302,17 @@ def gap_build(pattern: str, text: str, epsilon: str, cap: int | None, fmt: str) 
 @_format_option
 def gap_core(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> None:
     """Run the inflation step alone with an explicit alpha."""
-    started = time.perf_counter()
-    with _usage_errors():
+    with _report("gap core", fmt) as rec:
         pi, pi_echo = _load_permutation(pattern)
         tau, tau_echo = _load_permutation(text)
+        rec.inputs = {"pattern": pi_echo, "text": tau_echo, "alpha": alpha}
         core = gap.build_core(pi, tau, alpha, max_text_len=cap)
-    _emit(
-        "gap core",
-        {"pattern": pi_echo, "text": tau_echo, "alpha": alpha},
-        {
+        rec.result = {
             "inflated_pattern": _Echo(core.pattern.to_text()),
             "inflated_text": _Echo(core.text.to_text()),
             "k_prime": core.k_prime,
             "n_prime": core.n_prime,
-        },
-        started,
-        fmt,
-    )
+        }
 
 
 @gap_group.command(name="check-bounds")
@@ -339,21 +323,13 @@ def gap_core(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> 
 @_format_option
 def gap_check_bounds(epsilon: str, k_: int, n_: str, fmt: str) -> None:
     """Verify the exact inequality chains at an above-threshold scale."""
-    started = time.perf_counter()
-    with _usage_errors():
+    with _report("gap check-bounds", fmt) as rec:
         eps = _parse_epsilon(epsilon)
-        n = _parse_big_int(n_)
-        report = gap.check_bounds(n, k_, eps)
-    _emit(
-        "gap check-bounds",
-        {"epsilon": str(eps), "k": k_, "n": n_},
-        report.to_json_obj(),
-        started,
-        fmt,
-    )
-    if not report.all_hold:
-        click.echo("bound check failed", err=True)
-        sys.exit(CHECK_FAILED)
+        rec.inputs = {"epsilon": str(eps), "k": k_, "n": n_}
+        report = gap.check_bounds(_parse_big_int(n_), k_, eps)
+        rec.result = report.to_json_obj()
+        if not report.all_hold:
+            rec.failure = "bound check failed"
 
 
 @gap_group.command(name="verify")
@@ -364,21 +340,14 @@ def gap_check_bounds(epsilon: str, k_: int, n_: str, fmt: str) -> None:
 @_format_option
 def gap_verify(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> None:
     """Run the yes/no-case property battery on one desk-scale input."""
-    started = time.perf_counter()
-    with _usage_errors():
+    with _report("gap verify", fmt) as rec:
         pi, pi_echo = _load_permutation(pattern)
         tau, tau_echo = _load_permutation(text)
+        rec.inputs = {"pattern": pi_echo, "text": tau_echo, "alpha": alpha}
         report = gap.verify_core(pi, tau, alpha, max_text_len=cap)
-    _emit(
-        "gap verify",
-        {"pattern": pi_echo, "text": tau_echo, "alpha": alpha},
-        report.to_json_obj(),
-        started,
-        fmt,
-    )
-    if not report.checks_pass:
-        click.echo("gap construction checks failed", err=True)
-        sys.exit(CHECK_FAILED)
+        rec.result = report.to_json_obj()
+        if not report.checks_pass:
+            rec.failure = "gap construction checks failed"
 
 
 @main.command(name="selfcheck")

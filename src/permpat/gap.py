@@ -18,6 +18,7 @@ exponents are cleared by raising both sides to the exponent denominator.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, comb, log10
@@ -170,16 +171,15 @@ def build_core(
     )
 
 
-def build_gap_instance(
-    pi: Permutation,
-    tau: Permutation,
-    epsilon: Fraction,
-    max_text_len: int | None = None,
-) -> GapInstance:
-    """Full reduction: decide small inputs exactly, inflate large ones."""
+def build_gap_instance(pi: Permutation, tau: Permutation, epsilon: Fraction) -> GapInstance:
+    """Full reduction: decide small inputs exactly, inflate large ones.
+
+    No constructible text reaches the inflated branch: its threshold is at
+    least 6^20 for every admissible epsilon.
+    """
     params = gap_params(epsilon, len(pi), len(tau))
     if not params.below_threshold:
-        return replace(build_core(pi, tau, params.alpha, max_text_len), epsilon=params.epsilon)
+        return replace(build_core(pi, tau, params.alpha), epsilon=params.epsilon)
     if contains_left_aligned(pi, tau):
         pattern, text = TRIVIAL_YES
         branch = "trivial_yes"
@@ -312,6 +312,18 @@ def _decimal_digits(x: int) -> int:
     while 10**digits <= x:
         digits += 1
     return digits
+
+
+def _decimal(value: int, name: str) -> str:
+    """str(value); past Python's int-to-str digit limit, a ValueError that
+    names the value and its size."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(
+            f"{name} has {_decimal_digits(value)} decimal digits, over the"
+            f" {sys.get_int_max_str_digits()}-digit output limit"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -450,8 +462,8 @@ class CoreReport:
             "source_has_left_aligned_copy": self.source_has_left_aligned_copy,
             "k_prime": self.k_prime,
             "n_prime": self.n_prime,
-            "total_copies": str(self.total_copies),
-            "touching_initial_block": str(self.touching_initial_block),
+            "total_copies": _decimal(self.total_copies, "total_copies"),
+            "touching_initial_block": _decimal(self.touching_initial_block, "touching_initial_block"),
             "size_bounds_hold": self.size_bounds_hold,
             "yes_lower_bound_holds": self.yes_lower_bound_holds,
             "no_upper_bound_holds": self.no_upper_bound_holds,

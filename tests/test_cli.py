@@ -1,14 +1,18 @@
 """Command-line surface: reports, exit codes, file formats."""
+import hashlib
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from permpat import backend, build_core, count_inversions
+from permpat import backend, build_core, count_inversions, gap, matching, psi
 from permpat.cli import main
 from permpat.core import Permutation
 
@@ -426,10 +430,56 @@ class TestGap:
         assert doc["touching_initial_block"] == "0"
         assert doc["checks_pass"] is True
 
+    def test_verify_count_past_str_limit(self, runner, tmp_path):
+        # the README's way to raise --cap; the count is past Python's
+        # 4300-digit str limit, which is bad input, not a traceback
+        f = tmp_path / "id1500.txt"
+        f.write_text(" ".join(map(str, range(1, 1501))))
+        res = run(runner, "gap", "verify", "--pattern", f"@{f}", "--text", f"@{f}",
+                  "--alpha", "1", "--cap", "100000000")
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: total_copies has 4765 decimal digits, over the 4300-digit output limit"
+        ]
+
     def test_core_cap(self, runner):
         res = run(runner, "gap", "core", "--pattern", "12", "--text", "12",
                   "--alpha", "2", "--cap", "8")
         assert res.exit_code == 2
+
+
+class TestReportGuard:
+    """A ValueError while a command computes or renders its result is one
+    error line and exit 2, with nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, owner, name",
+        [
+            (["detect", "--pattern", "12", "--text", "21"], matching, "contains"),
+            (["count", "--pattern", "12", "--text", "21"], matching, "count_copies"),
+            (["psi", "build", "INSTANCE"], psi.PsiGadget, "to_json_obj"),
+            (["psi", "verify", "INSTANCE"], psi.ReductionReport, "to_json_obj"),
+            (["gap", "build", "--pattern", "12", "--text", "21", "--epsilon", "1/3"],
+             gap.GapInstance, "to_json_obj"),
+            (["gap", "core", "--pattern", "12", "--text", "21", "--alpha", "1"], gap, "build_core"),
+            (["gap", "check-bounds", "--epsilon", "2/5", "--k", "1", "--n", "6^25"],
+             gap.BoundsReport, "to_json_obj"),
+            (["gap", "verify", "--pattern", "12", "--text", "21", "--alpha", "1"],
+             gap.CoreReport, "to_json_obj"),
+        ],
+        ids=["detect", "count", "psi-build", "psi-verify", "gap-build", "gap-core",
+             "gap-check-bounds", "gap-verify"],
+    )
+    def test_value_error_is_one_line_and_exit_2(self, runner, instance_file, monkeypatch, argv, owner, name):
+        def fail(*args, **kwargs):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(owner, name, fail)
+        res = run(runner, *(instance_file if arg == "INSTANCE" else arg for arg in argv))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: cannot render"]
 
 
 class TestDeterminism:
@@ -446,6 +496,52 @@ class TestDeterminism:
         second = payload(run(runner, *args))
         assert json.dumps(first["result"]) == json.dumps(second["result"])
         assert first["inputs"] == second["inputs"]
+
+
+def readme_usage_commands():
+    """The argv of each command in README's Usage block, selfcheck aside."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Command line:\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("permpat ")]
+    return [argv for argv in commands if argv[0] != "selfcheck"]
+
+
+PINNED_ERROR_PATHS = [
+    ["detect", "--pattern", "213", "--text", "24153", "--left-aligned", "--expect", "no"],
+    ["detect", "--pattern", "12", "--text", "2 2 1"],
+    ["count", "--pattern", "12", "--text", "@missing.txt"],
+    ["gap", "core", "--pattern", "21", "--text", "21", "--alpha", "100000000"],
+    ["gap", "build", "--pattern", "12", "--text", "21", "--epsilon", "1/2"],
+    ["gap", "check-bounds", "--epsilon", "1/3", "--k", "2", "--n", "100"],
+    ["gap", "check-bounds", "--epsilon", "2/5", "--k", "1", "--n", "2^2000000"],
+    ["psi", "verify", "instance.json", "--max-text-len", "5"],
+    ["gap", "verify", "--pattern", "21", "--text", "2413", "--alpha", "12"],
+    ["gap", "verify", "--pattern", "21", "--text", "2413", "--alpha", "12", "--cap", "1000000000"],
+]
+
+# sha256 of the lines below, for every README command, each again with
+# --format plain, and PINNED_ERROR_PATHS
+PINNED_SHA256 = "7357127c9a88167b5bf7ddc2905169a115dc6ff6e103d6e1c887e568825728e0"
+
+
+class TestPinnedBytes:
+    def test_reports_and_exit_codes_are_pinned(self, runner, tmp_path, monkeypatch):
+        # a changed report, exit code or error line, or a README example
+        # that stops working, changes the hash
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "instance.json").write_text(
+            '{"G": {"k": 2, "edges": [[1, 2]]}, "H": {"n": 2, "edges": [[1, 2]]}, "chi": [1, 2]}'
+        )
+        usage = readme_usage_commands()
+        assert len(usage) == 11
+        lines = []
+        for argv in usage + [argv + ["--format", "plain"] for argv in usage] + PINNED_ERROR_PATHS:
+            res = runner.invoke(main, argv)
+            stdout = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": *', res.stdout)
+            stdout = re.sub(r'"backend": "[a-z-]+"', '"backend": *', stdout)
+            lines.append(f"{shlex.join(argv)} | {res.exit_code} | {stdout} | {res.stderr}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == PINNED_SHA256, "\n".join(lines)
 
 
 class TestSelfcheck:

@@ -6,13 +6,19 @@
  * C longs (the item type of Python's array('l')), which no function here
  * modifies; every function that allocates returns -1 when that fails.
  *
- * Counts are long long.  Each step of the search adds at most n to the
- * count: one copy in the scan, or, in the pass over the prefix-count table
- * that serves only texts of n <= 2048, at most n copies of the last pattern
- * position for each text position the pass visits.  A count past
- * 2^63 - 1 would thus take over 2^63 / 2048 > 4 * 10^15 steps first: it
- * cannot overflow in practice.  The inversions of a permutation of 1..n
- * number at most n(n - 1)/2, under 2^63 for the n <= UINT32_MAX that
+ * Counts are long long.  A search without the prefix-count table adds 1 per
+ * copy, so a count past 2^63 - 1 would take 2^63 steps first: it cannot
+ * overflow in practice.  A search with the table, which serves only texts of
+ * n <= 2048, adds at each leaf the placements of its free elements: at most
+ * n for one; for two, a product of two rectangle sizes that sum to at most
+ * n, so at most floor(n / 2)^2 <= 2^20, or C(m, 2) < 2^21 when both share
+ * one rectangle of m <= n elements.  A count could thus wrap only after
+ * more than 2^63 / 2^21 = 2^42 > 4 * 10^12 leaves, and count_pattern
+ * returns -1 rather than let it: its table searches stop at
+ * TABLE_COUNT_LIMIT.  Below that limit every total is exact, also the sum
+ * #pat + #pat' that a swap pair counts (at most C(n, k)) and the
+ * difference taken from it.  The inversions of a permutation of 1..n number
+ * at most n(n - 1)/2, under 2^63 for the n <= UINT32_MAX that
  * count_inversions accepts.
  *
  * The file is standard C for any cc with the flags of _kernels.py: bits
@@ -26,6 +32,10 @@
 /* The prefix-count table serves texts up to this length: it then takes at most
  * 2049 * 2050 * 2 bytes (8.4 MB), and its counts fit in an unsigned short. */
 #define TABLE_MAX_N 2048
+
+/* A search that reads the table stops once its total reaches this: a leaf
+ * adds at most C(TABLE_MAX_N, 2) < 2^21, so the total cannot wrap first. */
+#define TABLE_COUNT_LIMIT (LLONG_MAX - (1LL << 21) + 1)
 
 /* Table of below[s * (n + 2) + v] = #{p >= s : txt[p] < v}, for 0 <= s <= n
  * and 0 <= v <= n + 1, filled right to left; NULL when malloc fails. */
@@ -47,105 +57,186 @@ static unsigned short *below_table(const long *txt, long n)
     return below;
 }
 
-/* Copies of the last two pattern positions, k - 2 at a text position
- * i..last with a value in (lo, hi) and k - 1 at a later one with a value in
- * (l, h): the sum over those i of below[i + 1][h] - below[i + 1][l + 1].
- * l is txt[i] when at_lo (pred[k - 1] is k - 2), else lo2; h is txt[i] when
- * at_hi, else hi2.
+/* One backtracking search over m pattern positions, in position order.
+ * Slot j < m holds the text position idx[j] and the value val[j] matched at
+ * searched position j.  Slot LOW = m bounds every text element from before
+ * and below (position -1, value 0), and slot HIGH = m + 1 from after and
+ * above (position n, value n + 1), so pred[j] and succ[j], the slots whose
+ * values bound position j's, always name a slot.  pin puts searched
+ * position 0 on text position 0.
  *
- * Whether a text value falls in (lo, hi) is unpredictable on random texts,
- * so no branch asks it: a first loop writes every position to hit[] and
- * advances past it only when its value is in range, and a second loop sums
- * the table counts of the hits, choosing l and h with masks.  Misses cost
- * no table read, so a pass stays cheap also when few values fall in range
- * (a single loop that masks each candidate's table count out of the sum
- * made 1324 on a layered text of n = 2047 three times slower). */
-static long long last_two(const unsigned short *below, long w, const long *txt,
-                          long i, long last, long lo, long hi,
-                          long lo2, long hi2, int at_lo, int at_hi, long *hit)
+ * With nfree 0 each match adds 1.  Otherwise nfree pattern positions are
+ * free, and each match is a leaf that adds their placements: free element f
+ * lies in the rectangle of the text whose positions run between those of
+ * slots rect[f][0] and rect[f][1], and whose values run between those of
+ * slots rect[f][2] and rect[f][3].  A leaf adds the size of the one
+ * rectangle, the product of the two sizes, or C(size, 2) when the two
+ * elements share one rectangle. */
+struct search {
+    long m, *pred, *succ;
+    int pin, nfree, shared;
+    long rect[2][4];
+};
+
+/* Order constraints of p[0..m), a permutation of 1..m: pred[j] is the slot
+ * of the earlier position with the largest smaller value, succ[j] that of
+ * the one with the smallest larger value, and LOW or HIGH when there is
+ * none.  list holds 3(m + 2) longs: a doubly linked list over the values
+ * 0..m + 1, in which 0 stands for LOW and m + 1 for HIGH, and the slot of
+ * each value.  From j = m - 1 down to 0 the list holds the values of
+ * positions 0..j, so the neighbours of p[j] in it are its constraints; then
+ * p[j] is unlinked.  O(m) in all. */
+static void order_constraints(const long *p, long m, long *pred, long *succ, long *list)
 {
-    unsigned long span = (unsigned long)(hi - lo - 1);
-    long m = 0;
-    for (; i <= last; i++) {
-        hit[m] = i;
-        m += (unsigned long)txt[i] - (unsigned long)lo - 1 < span;
+    long *prev = list, *next = list + (m + 2), *slot = list + 2 * (m + 2);
+    for (long v = 0; v <= m + 1; v++) {
+        prev[v] = v - 1;
+        next[v] = v + 1;
     }
-    long mlo = -(long)at_lo, mhi = -(long)at_hi;
-    long long sum = 0;
-    for (long t = 0; t < m; t++) {
-        long x = txt[hit[t]];
-        long l = (x & mlo) | (lo2 & ~mlo), h = (x & mhi) | (hi2 & ~mhi);
-        const unsigned short *row = below + (size_t)(hit[t] + 1) * (size_t)w;
-        sum += row[h] - row[l + 1];
+    slot[0] = m;
+    slot[m + 1] = m + 1;
+    for (long j = 0; j < m; j++)
+        slot[p[j]] = j;
+    for (long j = m - 1; j >= 0; j--) {
+        long v = p[j];
+        pred[j] = slot[prev[v]];
+        succ[j] = slot[next[v]];
+        next[prev[v]] = next[v];
+        prev[next[v]] = prev[v];
     }
-    return sum;
 }
 
-/* Order-isomorphic occurrences of pat[0..k) in txt[0..n), values in 1..k and
- * 1..n.  Backtracks over pattern positions left to right; each position's
- * candidates are bounded by the values matched at pred[j] (the earlier
- * position with the largest smaller pattern value) and succ[j] (smallest
- * larger).  pin_first puts pattern position 0 on text position 0; a
- * positive limit stops the search once that many copies are found.
- *
- * A full count (limit 0) with at least two free pattern positions on a text
- * of n <= TABLE_MAX_N never descends past position k - 2: there last_two
- * adds the copies of both last positions from the prefix-count table in one
- * pass over the candidates, with no branch per candidate, so the search
- * backtracks once per prefix of k - 2 positions instead of once per
- * candidate at k - 2.  The table, and the n hit[] slots of that pass, exist
- * only then; the table is built the first time the search reaches position
- * k - 2, so a search whose prefixes all die early never pays for it. */
-long long count_pattern(const long *pat, long k, const long *txt, long n,
-                        int pin_first, long long limit)
+/* Plans the search of p[0..k) that frees positions c < d, each -1 when
+ * absent; pos[v] is the position of value v in p.  The searched positions'
+ * values, re-ranked to 1..m, go to red, and their order constraints to pred
+ * and succ.  A free element's rectangle is bounded by its nearest searched
+ * neighbours by position and by value, or by LOW and HIGH. */
+static void plan(struct search *s, const long *p, const long *pos, long k, long c, long d,
+                 int pin, long *red, long *pred, long *succ, long *list)
 {
-    if (k < 1 || k > n)
-        return 0;
-    int use_table = limit == 0 && k - (pin_first != 0) >= 2 && n <= TABLE_MAX_N;
-    long *work = malloc((4 * (size_t)k + (use_table ? (size_t)n : 0)) * sizeof(long));
-    if (work == NULL)
-        return -1;
-    long *pred = work, *succ = work + k, *val = work + 2 * k, *idx = work + 3 * k;
-    long *hit = work + 4 * k;
-
-    for (long j = 0; j < k; j++) {
-        long lo = 0, hi = k + 1, pj = pat[j];
-        pred[j] = succ[j] = -1;
-        for (long p = 0; p < j; p++) {
-            if (lo < pat[p] && pat[p] < pj) {
-                lo = pat[p];
-                pred[j] = p;
-            } else if (pj < pat[p] && pat[p] < hi) {
-                hi = pat[p];
-                succ[j] = p;
-            }
+    long m = 0;
+    for (long x = 0; x < k; x++)
+        if (x != c && x != d)
+            red[m++] = p[x] - (c >= 0 && p[c] < p[x]) - (d >= 0 && p[d] < p[x]);
+    order_constraints(red, m, pred, succ, list);
+    s->m = m;
+    s->pred = pred;
+    s->succ = succ;
+    s->pin = pin;
+    s->nfree = (int)(k - m);
+    long free_pos[2] = {c, d};
+    for (int f = 0; f < s->nfree; f++) {
+        long x = free_pos[f], y = free_pos[1 - f];
+        long y_val = y >= 0 ? p[y] : 0;
+        long before = x - 1 - (x - 1 == y), after = x + 1 + (x + 1 == y);
+        long below = p[x] - 1 - (p[x] - 1 == y_val), above = p[x] + 1 + (p[x] + 1 == y_val);
+        long bound[4] = {before, after, below >= 1 ? pos[below] : -1, above <= k ? pos[above] : k};
+        for (int b = 0; b < 4; b++) {
+            long q = bound[b];
+            s->rect[f][b] = q < 0 ? m : q >= k ? m + 1 : q - (c >= 0 && c < q) - (d >= 0 && d < q);
         }
     }
+    s->shared = s->nfree == 2 && memcmp(s->rect[0], s->rect[1], sizeof s->rect[0]) == 0;
+}
 
-    unsigned short *below = NULL;
+/* A pair c < d of p[from..k) with d - c >= 2 and |p[c] - p[d]| >= 2: then
+ * a searched position lies between them and a searched value too, and
+ * their rectangles are disjoint in both coordinates.  0 when there is
+ * none.  At most two d are value neighbours of p[c], so each c tries at
+ * most three d, and the scan is O(k). */
+static int exact_pair(const long *p, long k, long from, long *c, long *d)
+{
+    for (long a = from; a < k; a++)
+        for (long b = a + 2; b < k && b < a + 5; b++)
+            if (p[a] - p[b] >= 2 || p[b] - p[a] >= 2) {
+                *c = a;
+                *d = b;
+                return 1;
+            }
+    return 0;
+}
+
+/* A pair c < d of p[from..k) such that exchanging their values leaves an
+ * exact pair (c2, d2) of p[from..k); 0 when there is none.  Called only
+ * when p[from..k) has no exact pair, which needs k - from <= 4: positions
+ * and values each join at most k - from - 1 neighbouring pairs, fewer than
+ * the C(k - from, 2) pairs once k - from >= 5. */
+static int swap_pair(long *p, long k, long from, long *c, long *d, long *c2, long *d2)
+{
+    for (long a = from; a < k; a++)
+        for (long b = a + 1; b < k; b++) {
+            long t = p[a];
+            p[a] = p[b];
+            p[b] = t;
+            int found = exact_pair(p, k, from, c2, d2);
+            p[b] = p[a];
+            p[a] = t;
+            if (found) {
+                *c = a;
+                *d = b;
+                return 1;
+            }
+        }
+    return 0;
+}
+
+/* Text elements in the rectangle that slots r[0..4) bound, from four
+ * reads of the table: those after r[0]'s position and between r[2]'s and
+ * r[3]'s values, less those at r[1]'s position or later. */
+static long long rect_size(const unsigned short *below, long w, const long *idx,
+                           const long *val, const long *r)
+{
+    const unsigned short *from = below + (size_t)(idx[r[0]] + 1) * (size_t)w;
+    const unsigned short *to = below + (size_t)idx[r[1]] * (size_t)w;
+    long lo = val[r[2]] + 1, hi = val[r[3]];
+    return (long long)(from[hi] - from[lo]) - (to[hi] - to[lo]);
+}
+
+/* Placements of the free elements at a leaf of s. */
+static long long leaf(const struct search *s, const unsigned short *below, long w,
+                      const long *idx, const long *val)
+{
+    long long a = rect_size(below, w, idx, val, s->rect[0]);
+    if (s->nfree == 1)
+        return a;
+    if (s->shared)
+        return a * (a - 1) / 2;
+    return a * rect_size(below, w, idx, val, s->rect[1]);
+}
+
+/* Matches of s in txt[0..n), idx and val holding m + 2 slots.  The last
+ * searched position adds 1 or a leaf per candidate.  The table is built
+ * into *below at the first leaf, so a search whose prefixes all die early
+ * never pays for it.  A positive limit stops the search once the total
+ * reaches it. */
+static long long search(const struct search *s, const long *txt, long n, long long limit,
+                        unsigned short **below, long *idx, long *val)
+{
+    long m = s->m;
+    idx[m] = -1;
+    val[m] = 0;
+    idx[m + 1] = n;
+    val[m + 1] = n + 1;
     long long total = 0;
     long j = 0, i = 0;
     for (;;) {
-        long lo = pred[j] >= 0 ? val[pred[j]] : 0;
-        long hi = succ[j] >= 0 ? val[succ[j]] : n + 1;
-        long last = (pin_first && j == 0) ? 0 : n - (k - j);
+        long lo = val[s->pred[j]], hi = val[s->succ[j]];
+        long last = (s->pin && j == 0) ? 0 : n - (m - j);
         int descended = 0;
-        if (j == k - 2 && use_table) {
-            if (below == NULL && (below = below_table(txt, n)) == NULL) {
-                total = -1;
-                goto done;
-            }
-            long p = pred[k - 1], q = succ[k - 1];
-            long lo2 = p >= 0 && p != k - 2 ? val[p] : 0;
-            long hi2 = q >= 0 && q != k - 2 ? val[q] : n + 1;
-            total += last_two(below, n + 2, txt, i, last, lo, hi, lo2, hi2,
-                              p == k - 2, q == k - 2, hit);
-        } else if (j == k - 1) {
+        if (j == m - 1) {
             for (; i <= last; i++) {
                 if (lo < txt[i] && txt[i] < hi) {
-                    total++;
+                    if (s->nfree == 0) {
+                        total++;
+                    } else {
+                        if (*below == NULL && (*below = below_table(txt, n)) == NULL)
+                            return -1;
+                        idx[j] = i;
+                        val[j] = txt[i];
+                        total += leaf(s, *below, n + 2, idx, val);
+                    }
                     if (limit && total >= limit)
-                        goto done;
+                        return total;
                 }
             }
         } else {
@@ -167,7 +258,81 @@ long long count_pattern(const long *pat, long k, const long *txt, long n,
         j--;
         i = idx[j] + 1;
     }
-done:
+    return total;
+}
+
+/* Order-isomorphic occurrences of pat[0..k) in txt[0..n), values in 1..k and
+ * 1..n.  Backtracks over pattern positions left to right; each position's
+ * candidates are bounded by the values matched at its order constraints.
+ * pin_first puts pattern position 0 on text position 0; a positive limit
+ * stops the search once that many copies are found.  Pattern values index
+ * arrays here, so a pattern that is not a permutation of 1..k returns -2
+ * before any is read as an index.
+ *
+ * A full count (limit 0) with k >= 3 on a text of n <= TABLE_MAX_N
+ * searches all but two free positions c < d, and each leaf adds the
+ * placements of both from the prefix-count table.  When pinned, position 0
+ * stays searched and the pair is taken from positions 1..k - 1.  An exact
+ * pair's leaves count the copies of pat.  Any other pair's leaves count
+ * the copies of pat and of pat', pat with the values at c and d exchanged,
+ * since the two elements then share their positions' or their values'
+ * range; pat' restricted to the searched positions is pat's, and it is
+ * counted through an exact pair of its own and subtracted.  Unpinned, only
+ * k <= 4 lacks an exact pair (2413 and 3142 of the 4-patterns, and all
+ * 3-patterns but 123 and 321).  Pinned at k = 3, no pair of positions 1
+ * and 2 serves, and position 2 alone is freed.  The search thus reaches
+ * O(n^(k - 2)) leaves unpinned and O(n^(k - 3)) pinned (O(n) at k = 3). */
+long long count_pattern(const long *pat, long k, const long *txt, long n,
+                        int pin_first, long long limit)
+{
+    if (k < 1 || k > n)
+        return 0;
+    long *work = malloc((12 * (size_t)k + 11) * sizeof(long));
+    if (work == NULL)
+        return -1;
+    long *p = work, *pos = p + k, *red = pos + k + 1, *list = red + k;
+    long *idx = list + 3 * (k + 2), *val = idx + k + 2, *cons = val + k + 2;
+    for (long v = 1; v <= k; v++)
+        pos[v] = -1;
+    for (long x = 0; x < k; x++) {
+        if (pat[x] < 1 || pat[x] > k || pos[pat[x]] >= 0) {
+            free(work);
+            return -2;
+        }
+        pos[pat[x]] = x;
+    }
+    memcpy(p, pat, (size_t)k * sizeof *p);
+
+    struct search s[2];
+    long c = -1, d = -1, c2 = -1, d2 = -1, from = pin_first != 0;
+    int searches = 1;
+    if (limit == 0 && k >= 3 && n <= TABLE_MAX_N && !exact_pair(p, k, from, &c, &d)) {
+        if (swap_pair(p, k, from, &c, &d, &c2, &d2))
+            searches = 2;
+        else if (pin_first)
+            c = k - 1;
+    }
+    int table = c >= 0;
+    if (table)
+        limit = TABLE_COUNT_LIMIT;
+    plan(&s[0], p, pos, k, c, d, pin_first != 0, red, cons, cons + k, list);
+    if (searches == 2) {
+        long t = p[c];
+        p[c] = p[d];
+        p[d] = t;
+        pos[p[c]] = c;
+        pos[p[d]] = d;
+        plan(&s[1], p, pos, k, c2, d2, pin_first != 0, red, cons + 2 * k, cons + 3 * k, list);
+    }
+
+    unsigned short *below = NULL;
+    long long total = search(&s[0], txt, n, limit, &below, idx, val);
+    if (searches == 2 && total >= 0 && total < TABLE_COUNT_LIMIT) {
+        long long other = search(&s[1], txt, n, limit, &below, idx, val);
+        total = other < 0 ? -1 : total - other;
+    }
+    if (table && total >= TABLE_COUNT_LIMIT)
+        total = -1;
     free(below);
     free(work);
     return total;

@@ -25,10 +25,11 @@ from permpat import _kernels_py
 
 BACKEND_NAME = "compiled"
 
-# Functions start on 64-byte boundaries, so count_pattern's inner loops keep
-# their place within cache lines when code elsewhere in the file changes:
-# moving count_pattern by 16 bytes, with its code unchanged, once slowed the
-# kernel calls of the gap-verify benchmark by about 13% (x86-64, gcc -O2).
+# Functions start on 64-byte boundaries, so the inner loops of count_pattern's
+# search keep their place within cache lines when code elsewhere in the file
+# changes: moving count_pattern by 16 bytes, with its code unchanged, once
+# slowed the kernel calls of the gap-verify benchmark by about 13% (x86-64,
+# gcc -O2).
 _FLAGS = ("-O2", "-falign-functions=64", "-shared", "-fPIC")
 # ctypes wraps out-of-range integers silently: c_longlong(2**70) is 0
 _LLONG_MAX = 2**63 - 1
@@ -122,7 +123,9 @@ def count_pattern(
     elements by the value interval implied by the partial match.  With
     ``pin_first`` the first pattern element must use the first text element.
     A positive ``limit`` stops the search once that many occurrences are
-    found (limit=1 is detection).
+    found (limit=1 is detection).  The C search indexes arrays by pattern
+    values, so a pattern that is not a permutation of 1..k raises
+    ValueError.
     """
     k = len(pattern)
     n = len(text)
@@ -136,6 +139,8 @@ def count_pattern(
         pat.buffer_info()[0], k, txt.buffer_info()[0], n, bool(pin_first),
         max(-_LLONG_MAX, min(limit, _LLONG_MAX)),
     )
+    if total == -2:
+        raise ValueError(f"count_pattern needs a pattern of distinct values in 1..{k}")
     if total < 0:
         raise MemoryError()
     return total

@@ -9,7 +9,7 @@ import shutil
 import subprocess
 import sys
 from array import array
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -44,6 +44,23 @@ def naive_count(pattern, text, pin_first=False):
         ):
             total += 1
     return total
+
+
+def inflate(sigma, sizes):
+    """sigma with position i blown up into an increasing block of
+    sizes[i] elements."""
+    by_value = sorted(range(len(sigma)), key=lambda i: sigma[i])
+    start, top = {}, 1
+    for i in by_value:
+        start[i] = top
+        top += sizes[i]
+    return [start[i] + t for i in range(len(sigma)) for t in range(sizes[i])]
+
+
+def random_sizes(rng, n, parts):
+    """parts positive sizes summing to n, cut at seeded random points."""
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
 
 
 @pytest.fixture(params=KERNELS, ids=IDS)
@@ -246,6 +263,15 @@ class TestContract:
             assert not kernel.is_permutation(array("l", bad))
 
 
+@pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernels not built")
+@pytest.mark.parametrize("pattern", [(0, 1), (1, 3), (-1, 1), (2, 2), (1, 2, 2**40), (3, 1, 3)])
+def test_compiled_count_refuses_a_pattern_outside_one_to_k(pattern):
+    # the C search indexes arrays by pattern values, full count or not
+    for limit in (0, 1):
+        with pytest.raises(ValueError, match=rf"distinct values in 1\.\.{len(pattern)}"):
+            _kernels.count_pattern(pattern, tuple(range(1, 11)), False, limit)
+
+
 @pytest.mark.skipif(backend.BACKEND_NAME != "compiled", reason="compiled kernels not in use")
 def test_compiled_path_makes_no_per_element_python_pass(monkeypatch):
     # the pure fallbacks, and a copy into a fresh array, would each convert
@@ -406,8 +432,8 @@ class TestBackendsAgree:
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         # most examples are full counts with k >= 3, which the compiled
-        # kernel answers at the last two positions from its prefix-count
-        # table
+        # kernel answers by products of rectangle sizes read from its
+        # prefix-count table
         pat=st.one_of(st.integers(3, 6), st.integers(1, 6)).flatmap(
             lambda k: st.permutations(range(1, k + 1))
         ),
@@ -425,26 +451,29 @@ class TestBackendsAgree:
         )
 
     def test_full_counts_agree_exhaustively(self):
-        # every pattern of length 2-5, pinned or not, without a limit: the
-        # compiled kernel's pass over the last two positions, against the
-        # pure scan, on the identity, its reverse and seeded random texts
+        # every pattern of length 2-6, pinned or not, without a limit: the
+        # compiled kernel's pair products (an exact pair, a swap pair less
+        # its partner's count, or pinned at k = 3 one free position),
+        # against the pure scan, on the identity, its reverse and seeded
+        # random texts; 6-patterns only on texts of n <= 12, where the pure
+        # scan stays fast
         rng = random.Random(40)
         texts = []
         for n in (2, 5, 9, 16, 25):
             texts += [list(range(1, n + 1)), list(range(n, 0, -1))]
         for n in [*range(2, 12), *rng.sample(range(12, 41), 10), 40]:
             texts.append(rng.sample(range(1, n + 1), n))
-        for k in range(2, 6):
+        for k in range(2, 7):
             for pat in itertools.permutations(range(1, k + 1)):
-                for txt in texts:
+                for txt in texts if k < 6 else [t for t in texts if len(t) <= 12]:
                     for pin in (False, True):
                         expected = _kernels_py.count_pattern(pat, txt, pin)
                         assert _kernels.count_pattern(pat, txt, pin) == expected, (pat, txt, pin)
 
     @pytest.mark.parametrize("k", [17, 64, 200, 500])
     def test_long_patterns_agree(self, k):
-        # long patterns exercise the compiled kernel's O(k^2) loop that
-        # finds each position's order constraints, against the pure
+        # long patterns exercise the compiled kernel's linked-list pass
+        # that finds each position's order constraints, against the pure
         # kernel's bisection; each text is the pattern with a few values
         # inserted, so copies exist and the search stays short
         rng = random.Random(k)
@@ -502,6 +531,25 @@ class TestBackendsAgree:
         assert _kernels.count_pattern((1, 3, 2, 4), text) == sum(
             b * comb(s, 2) * a for s, b, a in zip(sizes, before, after)
         )
+
+    @pytest.mark.parametrize("sigma, partner", [((2, 4, 1, 3), (3, 4, 1, 2)), ((3, 1, 4, 2), (2, 1, 4, 3))])
+    def test_swap_patterns_in_their_inflations(self, sigma, partner):
+        # 2413 and 3142 are the 4-patterns without an exact pair: the
+        # compiled kernel counts each as a swap sum less the count of its
+        # partner, 3412 or 2143.  Both are simple, so a copy in an inflation
+        # by increasing blocks takes one element of each block: the
+        # inflation holds exactly the product of the block sizes
+        rng = random.Random(sum(i * v for i, v in enumerate(sigma)))
+        for sizes in ((1, 1, 1, 1), (2, 1, 3, 1), (1, 3, 2, 2), (3, 2, 2, 3)):
+            assert _kernels_py.count_pattern(sigma, inflate(sigma, sizes)) == prod(sizes)
+        for n in (2047, 2048):
+            sizes = random_sizes(rng, n, 4)
+            assert _kernels.count_pattern(sigma, inflate(sigma, sizes)) == prod(sizes), sizes
+        for _ in range(20):
+            txt = inflate(sigma, random_sizes(rng, rng.randint(4, 60), 4))
+            for pat in (partner, sigma):
+                for pin in (False, True):
+                    assert _kernels.count_pattern(pat, txt, pin) == _kernels_py.count_pattern(pat, txt, pin)
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(text=TEXTS)

@@ -10,7 +10,6 @@ from permpat.backend import BACKEND_NAME
 from permpat.core import (
     Permutation,
     colayered,
-    deflate,
     delete_leftmost,
     inflate,
     layered,
@@ -71,7 +70,6 @@ __all__ = [
     "count_inversions",
     "count_left_aligned",
     "decide_via_approx",
-    "deflate",
     "delete_leftmost",
     "gap_params",
     "inflate",

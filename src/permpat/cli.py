@@ -250,12 +250,13 @@ def psi_build(instance_file: str, fmt: str) -> None:
     with _report("psi build", fmt) as rec:
         rec.inputs = {"instance": instance_file}
         instance = _load_instance(instance_file)
-        pattern_len = psi.pattern_length(instance.g)
-        if pattern_len > gap.DEFAULT_MAX_TEXT_LEN:
-            raise ValueError(
-                f"instance too large: the gadget pattern would have {pattern_len} elements,"
-                f" over {gap.DEFAULT_MAX_TEXT_LEN}"
-            )
+        lengths = {"pattern": psi.pattern_length(instance.g), "text": psi.text_length(instance)}
+        for side, length in lengths.items():
+            if length > gap.DEFAULT_MAX_TEXT_LEN:
+                raise ValueError(
+                    f"instance too large: the gadget {side} would have {length} elements,"
+                    f" over {gap.DEFAULT_MAX_TEXT_LEN}"
+                )
         rec.result = psi.reduce_psi(instance).to_json_obj()
 
 

@@ -210,25 +210,6 @@ def inflate(sigma: Permutation, blocks: Sequence[Permutation]) -> Permutation:
     return Permutation(out)
 
 
-def deflate(p: Permutation, block_sizes: Sequence[int]) -> Permutation:
-    """Collapse consecutive blocks of the given sizes back to single points.
-
-    Each block is represented by its first element; the result is the
-    standardization of those representatives.  Inverse of :func:`inflate`
-    on its image:  deflate(inflate(sigma, blocks), sizes) == sigma.
-    """
-    if any(s < 1 for s in block_sizes):
-        raise ValueError("zero size")
-    if sum(block_sizes) != len(p):
-        raise ValueError("block sizes do not cover the permutation")
-    reps = []
-    pos = 0
-    for s in block_sizes:
-        reps.append(p[pos])
-        pos += s
-    return standardize(reps)
-
-
 def layered(layer_sizes: Sequence[int]) -> Permutation:
     """The layered permutation with the given layer lengths.
 

@@ -10,8 +10,8 @@ leftmost element becomes a layered permutation with alpha*k layers of
 size n^alpha (the "initial blocks").  A left-aligned copy then fans out
 into at least n^(alpha^2 k) copies, while the absence of one caps the
 count at binomial(n-1, k') -- the two sides of the promise gap.
-count_inflated counts those copies from the substitution decomposition,
-in closed forms and searches in tau, without building the inflated text.
+verify_core counts those copies from the substitution decomposition, in
+closed forms and searches in tau, without building the inflated text.
 
 Every inequality here is checked in exact integer arithmetic; rational
 exponents are cleared by raising both sides to the exponent denominator.
@@ -134,11 +134,18 @@ def _require_within_cap(k: int, n: int, alpha: int, max_text_len: int | None) ->
         raise ValueError("alpha must be positive")
     if max_text_len is None:
         max_text_len = DEFAULT_MAX_TEXT_LEN
-    if n >= 2 and alpha * (n.bit_length() - 1) >= max_text_len.bit_length():
-        raise ValueError("instance too large")
+    bits = alpha * (n.bit_length() - 1)
+    if n >= 2 and bits >= max_text_len.bit_length():
+        raise ValueError(
+            f"instance too large: n' is at least 2^{_as_decimal(bits)},"
+            f" over the cap of {_as_decimal(max_text_len)}"
+        )
     k_prime, n_prime = inflated_lengths(n, k, alpha)
     if n_prime > max_text_len:
-        raise ValueError("instance too large")
+        raise ValueError(
+            f"instance too large: n' = {_as_decimal(n_prime)},"
+            f" over the cap of {_as_decimal(max_text_len)}"
+        )
     return k_prime, n_prime
 
 
@@ -204,7 +211,7 @@ def copies_touching_initial_block(gap: GapInstance) -> BigCount:
 
     Counted by backtracking on the text, as the difference between the
     total and the count within the re-ranked text suffix that survives
-    removing the initial block: the oracle for count_inflated.  Must be 0
+    removing the initial block: the oracle for verify_core's count.  Must be 0
     whenever the source was a no-instance of left-aligned detection.
     """
     if gap.branch != "inflated":
@@ -236,70 +243,6 @@ def _block_copies(values: tuple[int, ...], layers: int, size: int) -> BigCount:
 
 
 @dataclass(frozen=True)
-class InflatedCount:
-    """Pattern copies in an inflated instance, and whether the initial block
-    avoids the pattern's first alpha*k+1 elements (None when alpha*k < 2)."""
-
-    total_copies: BigCount
-    touching_initial_block: BigCount
-    block_usage_lemma_holds: bool | None
-
-
-def count_inflated(
-    pi: Permutation,
-    tau: Permutation,
-    alpha: int,
-    max_text_len: int | None = None,
-) -> InflatedCount:
-    """Copy counts of build_core(pi, tau, alpha) from its substitution
-    decomposition, without building or searching the inflated text.
-
-    The initial block L is a prefix of the text and an interval of its
-    values, so a copy of the inflated pattern P puts some prefix P[:m] in L.
-    The copies with m = 0 are the copies of P in tau with its first element
-    deleted.  For m >= 1, P[:m] must be an interval of P's values; its
-    copies in L are counted in closed form (C(alpha*k, m) * (n^alpha)^m
-    while the prefix is increasing), and the rest of the copy is a
-    left-aligned copy in tau of P with P[:m] contracted to one point.
-
-    An instance is refused with ValueError, before any power or binomial is
-    computed, when build_core would refuse it (n' over ``max_text_len``) or
-    when (n^alpha)^k', which bounds every power and binomial of the count,
-    does not fit in POWER_BIT_BUDGET bits.  The second refuses some
-    instances within the cap, such as a pattern of length 262145 with
-    n = 2 and alpha = 1.
-    """
-    k, n = len(pi), len(tau)
-    k_prime, _ = _require_within_cap(k, n, alpha, max_text_len)
-    layers, size = alpha * k, n**alpha
-    require_power_within_budget(size, k_prime)
-    pattern = _inflated_pattern(pi, alpha)
-    # copies of P[:alpha*k+1] in L; every longer prefix in L contains one
-    beyond_run = _block_copies(pattern[: layers + 1], layers, size) if k_prime > layers else 0
-    touching = 0
-    # a contracted pattern longer than tau has no copy: start at m = k' - n + 1
-    for m in range(max(1, k_prime - n + 1), k_prime + 1):
-        if m <= layers:  # P[:m] is the increasing run of the values lo..hi
-            lo, hi = pattern[0], pattern[0] + m - 1
-            in_block = comb(layers, m) * size**m
-        elif beyond_run:
-            lo, hi = min(pattern[:m]), max(pattern[:m])
-            in_block = _block_copies(pattern[:m], layers, size) if hi - lo == m - 1 else 0
-        else:
-            break
-        if in_block:
-            contracted = (lo, *(v - m + 1 if v > hi else v for v in pattern[m:]))
-            touching += in_block * count_left_aligned(Permutation(contracted), tau)
-    outside = 0
-    if k_prime < n:
-        outside = count_copies(Permutation(pattern), delete_leftmost(tau))
-    lemma_ok: bool | None = None
-    if layers >= 2:
-        lemma_ok = beyond_run == 0
-    return InflatedCount(outside + touching, touching, lemma_ok)
-
-
-@dataclass(frozen=True)
 class BoundCheck:
     name: str
     holds: bool
@@ -312,6 +255,13 @@ def _decimal_digits(x: int) -> int:
     while 10**digits <= x:
         digits += 1
     return digits
+
+
+def _as_decimal(x: int) -> str:
+    """str(x), or its digit count where str() would pass Python's
+    int-to-str digit limit."""
+    digits, limit = _decimal_digits(abs(x)), sys.get_int_max_str_digits()
+    return f"({digits}-digit number)" if limit and digits > limit else str(x)
 
 
 def _decimal(value: int, name: str) -> str:
@@ -484,15 +434,56 @@ def verify_core(
     initial block and the total is at most binomial(n-1, k').  Either way,
     when alpha*k >= 2 every embedding uses at most alpha*k initial-block
     positions: the block avoids the pattern's first alpha*k+1 elements.
-    The counts come from count_inflated, which never builds the inflated
-    text but refuses what build_core refuses, and also an instance whose
-    count could exceed the power bit budget.
+
+    The copies of build_core(pi, tau, alpha) are counted from its
+    substitution decomposition, without building or searching the inflated
+    text.  The initial block L is a prefix of the text and an interval of
+    its values, so a copy of the inflated pattern P puts some prefix P[:m]
+    in L.  The copies with m = 0 are the copies of P in tau with its first
+    element deleted.  For m >= 1, P[:m] must be an interval of P's values;
+    its copies in L are counted in closed form (C(alpha*k, m) * (n^alpha)^m
+    while the prefix is increasing), and the rest of the copy is a
+    left-aligned copy in tau of P with P[:m] contracted to one point.  At
+    m = alpha*k the contraction gives back pi, so that term's left-aligned
+    count decides which side of the gap the source is on.
+
+    An instance is refused with ValueError, before any power or binomial is
+    computed, when build_core would refuse it (n' over ``max_text_len``) or
+    when (n^alpha)^k', which bounds every power and binomial of the count,
+    does not fit in POWER_BIT_BUDGET bits.  The second refuses some
+    instances within the cap, such as a pattern of length 262145 with
+    n = 2 and alpha = 1.
     """
     k, n = len(pi), len(tau)
-    counts = count_inflated(pi, tau, alpha, max_text_len)
-    k_prime, n_prime = inflated_lengths(n, k, alpha)
-    total, touching = counts.total_copies, counts.touching_initial_block
-    yes_side = contains_left_aligned(pi, tau)
+    k_prime, n_prime = _require_within_cap(k, n, alpha, max_text_len)
+    layers, size = alpha * k, n**alpha
+    require_power_within_budget(size, k_prime)
+    pattern = _inflated_pattern(pi, alpha)
+    # copies of P[:alpha*k+1] in L; every longer prefix in L contains one
+    beyond_run = _block_copies(pattern[: layers + 1], layers, size) if k_prime > layers else 0
+    touching = 0
+    # whether tau holds a left-aligned copy of pi; False when k > n, as the
+    # loop then starts past m = alpha*k
+    yes_side = False
+    # a contracted pattern longer than tau has no copy: start at m = k' - n + 1
+    for m in range(max(1, k_prime - n + 1), k_prime + 1):
+        if m <= layers:  # P[:m] is the increasing run of the values lo..hi
+            lo, hi = pattern[0], pattern[0] + m - 1
+            in_block = comb(layers, m) * size**m
+        elif beyond_run:
+            lo, hi = min(pattern[:m]), max(pattern[:m])
+            in_block = _block_copies(pattern[:m], layers, size) if hi - lo == m - 1 else 0
+        else:
+            break
+        if in_block:
+            contracted = (lo, *(v - m + 1 if v > hi else v for v in pattern[m:]))
+            left_aligned = count_left_aligned(Permutation(contracted), tau)
+            if m == layers:  # contracting the whole run gives back pi
+                yes_side = left_aligned > 0
+            touching += in_block * left_aligned
+    total = touching
+    if k_prime < n:
+        total += count_copies(Permutation(pattern), delete_leftmost(tau))
     size_ok = all(initial_block_bounds(n, k, alpha))
 
     yes_ok: bool | None = None
@@ -502,7 +493,9 @@ def verify_core(
     else:
         no_ok = touching == 0 and total <= comb(n - 1, k_prime)
 
-    lemma_ok = counts.block_usage_lemma_holds
+    lemma_ok: bool | None = None
+    if layers >= 2:
+        lemma_ok = beyond_run == 0
     checks = [size_ok]
     checks += [yes_ok] if yes_ok is not None else []
     checks += [no_ok] if no_ok is not None else []

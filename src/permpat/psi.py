@@ -170,6 +170,12 @@ def pattern_length(g: Graph) -> int:
     return 2 + 5 * g.vertex_count + 2 * g.edge_count
 
 
+def text_length(instance: PsiInstance) -> int:
+    """Length of the text that encodes H, 2 + 5n + 2*m_bi, without building it;
+    m_bi counts H-edges with differently colored endpoints."""
+    return 2 + 5 * instance.h.vertex_count + 2 * instance.bichromatic_edge_count()
+
+
 def _pattern_grid(g: Graph) -> list[tuple[int, int, str]]:
     """Grid encoding of G: vertex i has rank i on both axes."""
     k = g.vertex_count
@@ -282,9 +288,7 @@ def verify_reduction(
     pattern or text would be longer than ``max_text_len`` are rejected
     before anything is built.
     """
-    n = instance.h.vertex_count
-    text_len = 2 + 5 * n + 2 * instance.bichromatic_edge_count()
-    if max(pattern_length(instance.g), text_len) > max_text_len:
+    if max(pattern_length(instance.g), text_length(instance)) > max_text_len:
         raise ValueError("instance too large for oracle verification")
     gadget = reduce_psi(instance)
     witness = solve_psi_bruteforce(instance)

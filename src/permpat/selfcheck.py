@@ -372,8 +372,9 @@ def criterion_11(scale: str = "full") -> CriterionResult:
 
 
 def inflation_count_mismatch(pi: Permutation, tau: Permutation, alpha: int) -> str | None:
-    """How gap.count_inflated disagrees with backtracking over the text that
-    gap.build_core writes, or None when every field agrees."""
+    """How gap.verify_core's counts disagree with backtracking over the text
+    that gap.build_core writes, and its source answer with left-aligned
+    detection in tau, or None when every field agrees."""
     inst = gap.build_core(pi, tau, alpha)
     lemma = None
     layers = inst.initial_block_pattern_len
@@ -386,16 +387,23 @@ def inflation_count_mismatch(pi: Permutation, tau: Permutation, alpha: int) -> s
         matching.count_copies(inst.pattern, inst.text),
         gap.copies_touching_initial_block(inst),
         lemma,
+        matching.contains_left_aligned(pi, tau),
     )
-    counts = gap.count_inflated(pi, tau, alpha)
-    got = (counts.total_copies, counts.touching_initial_block, counts.block_usage_lemma_holds)
+    report = gap.verify_core(pi, tau, alpha)
+    got = (
+        report.total_copies,
+        report.touching_initial_block,
+        report.block_usage_lemma_holds,
+        report.source_has_left_aligned_copy,
+    )
     if got == want:
         return None
-    return f"({pi}|{tau},a={alpha}): (total, touching, lemma) {got} != backtracking {want}"
+    return f"({pi}|{tau},a={alpha}): (total, touching, lemma, source) {got} != backtracking {want}"
 
 
 def criterion_12(scale: str = "full") -> CriterionResult:
-    """Decomposition counts of gap inflations equal backtracking on the text.
+    """Decomposition counts of gap inflations equal backtracking on the text,
+    and the source answer they carry equals left-aligned detection.
 
     Every pi with k <= 3, tau with n <= 5 and alpha whose inflated text has
     at most 60 elements, except where C(n', k') > 10^8: backtracking may try

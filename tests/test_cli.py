@@ -260,11 +260,10 @@ class TestPsi:
         res = run(runner, "psi", "verify", str(f))
         assert res.exit_code == 2
 
-    @pytest.mark.parametrize("command", ["build", "verify"])
-    def test_huge_pattern_graph_refused_at_once(self, tmp_path, command):
-        # the pattern side, 2 + 5k + 2|E_G|, is bounded before anything is built
+    @staticmethod
+    def assert_refused_at_once(tmp_path, command, doc):
         f = tmp_path / "huge.json"
-        f.write_text('{"G":{"k":100000000,"edges":[]},"H":{"n":1,"edges":[]},"chi":[1]}')
+        f.write_text(doc)
         src = os.path.dirname(os.path.dirname(sys.modules["permpat"].__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
@@ -273,6 +272,19 @@ class TestPsi:
         )
         assert proc.returncode == 2
         assert proc.stdout == "" and "too large" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_huge_pattern_graph_refused_at_once(self, tmp_path, command):
+        # the pattern side, 2 + 5k + 2|E_G|, is bounded before anything is built
+        doc = '{"G":{"k":100000000,"edges":[]},"H":{"n":1,"edges":[]},"chi":[1]}'
+        self.assert_refused_at_once(tmp_path, command, doc)
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_huge_text_graph_refused_at_once(self, tmp_path, command):
+        # the text side, 2 + 5n + 2 m_bi, is bounded too: 1,250,002 elements here
+        n = 250_000
+        doc = json.dumps({"G": {"k": 1, "edges": []}, "H": {"n": n, "edges": []}, "chi": [1] * n})
+        self.assert_refused_at_once(tmp_path, command, doc)
 
     def test_bad_instance_file(self, runner, tmp_path):
         f = tmp_path / "bad.json"
@@ -521,7 +533,7 @@ PINNED_ERROR_PATHS = [
 
 # sha256 of the lines below, for every README command, each again with
 # --format plain, and PINNED_ERROR_PATHS
-PINNED_SHA256 = "7357127c9a88167b5bf7ddc2905169a115dc6ff6e103d6e1c887e568825728e0"
+PINNED_SHA256 = "f1fee7896aa79b18b6cfee664e2f5ff930ea075343529a9f66615f4db700fcaf"
 
 
 class TestPinnedBytes:

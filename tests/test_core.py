@@ -11,7 +11,6 @@ from permpat import core
 from permpat.core import (
     Permutation,
     colayered,
-    deflate,
     delete_leftmost,
     inflate,
     layered,
@@ -204,12 +203,19 @@ class TestInflate:
     @given(permutations(min_n=1, max_n=5),
            st.lists(st.integers(1, 3), min_size=1, max_size=5))
     @settings(max_examples=200)
-    def test_inflation_length_and_deflation(self, sigma, sizes):
+    def test_inflation_length_and_blocks(self, sigma, sizes):
         sizes = (sizes * len(sigma))[: len(sigma)]
         blocks = [layered([s]) for s in sizes]
         inflated = inflate(sigma, blocks)
         assert len(inflated) == sum(sizes)
-        assert deflate(inflated, sizes) == sigma
+        # position i of sigma becomes a run of inflated positions holding a
+        # copy of blocks[i], wholly below the run of j when sigma[i] < sigma[j]
+        starts = list(itertools.accumulate([0] + sizes))
+        runs = [inflated[a:b] for a, b in zip(starts, starts[1:])]
+        for i, run in enumerate(runs):
+            assert standardize(run) == blocks[i]
+            for j, other in enumerate(runs):
+                assert (max(run) < min(other)) == (sigma[i] < sigma[j])
 
 
 class TestLayeredColayered:

@@ -307,10 +307,22 @@ class TestVerifyCore:
 
         monkeypatch.setattr(gap, "build_core", increasing_block)
         mismatch = selfcheck.inflation_count_mismatch(P("12"), P("21"), 1)
-        assert mismatch is not None and "(0, 0, True) != backtracking (4, 4, False)" in mismatch
+        assert mismatch is not None
+        assert "(0, 0, True, False) != backtracking (4, 4, False, False)" in mismatch
+
+    def test_source_answer_checked_against_detection(self, monkeypatch):
+        # the source answer verify_core reads from its alpha*k term is compared
+        # with left-aligned detection in tau
+        assert selfcheck.inflation_count_mismatch(P("21"), P("21"), 1) is None
+        monkeypatch.setattr(matching, "contains_left_aligned", lambda pi, tau: False)
+        mismatch = selfcheck.inflation_count_mismatch(P("21"), P("21"), 1)
+        assert mismatch is not None
+        assert "(4, 4, True, True) != backtracking (4, 4, True, False)" in mismatch
 
 
 class TestCountInflated:
+    """verify_core's counts of the inflation, from its substitution decomposition."""
+
     @given(st.one_of(st.tuples(perm(4, 4), perm(max_n=6)), st.tuples(perm(max_n=3), perm(6, 6))))
     @settings(max_examples=100, deadline=None)
     def test_matches_backtracking_past_the_selfcheck_range(self, instance):
@@ -332,10 +344,10 @@ class TestCountInflated:
         monkeypatch.setattr(gap, "_inflated_pattern", lambda *args: pytest.fail("pattern built"))
         # 3^(10^7) has about 1.6 * 10^7 bits
         with pytest.raises(ValueError, match="too large"):
-            gap.count_inflated(P("21"), P("321"), 10**7)
+            gap.verify_core(P("21"), P("321"), 10**7)
         # n' = 2 + 4000 * 3^2000 fits the cap, but (3^2000)^4001 not the bit budget
         with pytest.raises(ValueError, match="operands too large"):
-            gap.count_inflated(P("21"), P("321"), 2000, max_text_len=10**1000)
+            gap.verify_core(P("21"), P("321"), 2000, max_text_len=10**1000)
 
     def test_budget_refuses_within_the_cap(self):
         # n' = 2k + 1 = 524291 is within the default cap, and gap core builds
@@ -347,7 +359,9 @@ class TestCountInflated:
             gap.verify_core(pi, tau, 1)
         # one pattern element fewer fits the budget; 12..k has no copy in 21
         shorter = Permutation.increasing(262144)
-        assert gap.count_inflated(shorter, tau, 1) == gap.InflatedCount(0, 0, True)
+        report = gap.verify_core(shorter, tau, 1)
+        counts = (report.total_copies, report.touching_initial_block, report.block_usage_lemma_holds)
+        assert counts == (0, 0, True)
 
     def test_large_alpha_verified_without_the_text(self):
         # n' = 3 + 24 * 4^12, about 4 * 10^8: counted, never built
@@ -373,12 +387,17 @@ class TestKernelCalls:
         monkeypatch.setattr(backend, "count_pattern", counted)
         assert matching.count_left_aligned(P("213"), P("24153")) == 2
         assert len(calls) == 1
-        for pi, tau, alpha in ((P("12"), P("21"), 1), (P("21"), P("312"), 2)):
+        for pi, tau, alpha in ((P("213"), P("2413"), 1), (P("21"), P("312"), 2)):
             calls.clear()
             gap.verify_core(pi, tau, alpha)
             # no search repeats, and none runs on the inflated text
             assert calls and len(calls) == len(set(calls))
             assert max(len(text) for (_, text, *_), _ in calls) <= len(tau)
+            # no detection: the source's answer is its alpha*k term's count,
+            # the source's own pinned count (a search only when |pi| > 2)
+            assert [kwargs for _, kwargs in calls if dict(kwargs).get("limit")] == []
+            source = ((tuple(pi), tuple(tau)), (("pin_first", True),))
+            assert calls.count(source) == (len(pi) > 2)
 
 
 class TestCheckBounds:

@@ -1,9 +1,12 @@
 """Command-line surface: detection, counting, reductions, verification.
 
-Reports are single JSON documents on stdout by default (``--format plain``
-for line output); diagnostics go to stderr.  Exit codes: 0 success, 1
-verification or expectation failure, 2 usage/parse error or a result too
-long to print.  Permutation arguments are inline one-line notation, or ``@path`` to read from a file.
+Every command, selfcheck included, writes one report through ``_report``:
+a JSON document on stdout by default, or with ``--format plain`` one
+``path: JSON`` line per leaf of the same document (``result.contains:
+true``).  Diagnostics go to stderr.  Exit codes: 0 success, 1 verification
+or expectation failure, 2 usage/parse error or a result too long to print.
+Permutation arguments are inline one-line notation, or ``@path`` to read
+from a file.
 """
 from __future__ import annotations
 
@@ -104,27 +107,15 @@ def _json_pieces(obj) -> Iterator[str]:
         yield json.dumps(obj)
 
 
-def _emit(command: str, inputs: dict, result: dict, started: float, fmt: str) -> None:
-    report = {
-        "command": command,
-        "backend": backend.BACKEND_NAME,
-        "inputs": inputs,
-        "result": result,
-        "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
-    if fmt == "json":
-        # json.dumps escapes every control character, so there is no ANSI
-        # code for click.echo to strip; writing directly skips its copy and
-        # scan of a line that holds a whole echoed text
-        sys.stdout.writelines(_json_pieces(report))
-        sys.stdout.write("\n")
-        sys.stdout.flush()
-        return
-    click.echo(f"command: {command}")
-    for key, val in inputs.items():
-        click.echo(f"  {key}: {val}")
-    for key, val in result.items():
-        click.echo(f"{key}: {val}")
+def _leaves(obj, path: str = "") -> Iterator[tuple[str, object]]:
+    """(dotted path, value) of each leaf of a report, in report order: dict
+    keys and list indices are joined with dots; an empty dict or list is a
+    leaf."""
+    if isinstance(obj, (dict, list)) and obj:
+        for key, val in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _leaves(val, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, obj
 
 
 @dataclass
@@ -144,7 +135,8 @@ def _report(command: str, fmt: str) -> Iterator[_Record]:
     A ValueError or OSError raised inside, while loading, computing or
     rendering, is one stderr line and exit 2, with nothing on stdout.
     Otherwise the report is written, and a set ``failure`` is printed to
-    stderr with exit 1.
+    stderr with exit 1.  The report is one JSON document, or with ``plain``
+    one ``path: JSON`` line per leaf of that same document.
     """
     started = time.perf_counter()
     record = _Record()
@@ -153,7 +145,25 @@ def _report(command: str, fmt: str) -> Iterator[_Record]:
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(PARSE_ERROR)
-    _emit(command, record.inputs, record.result, started, fmt)
+    report = {
+        "command": command,
+        "backend": backend.BACKEND_NAME,
+        "inputs": record.inputs,
+        "result": record.result,
+        "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+    }
+    # json.dumps escapes every control character, so there is no ANSI code
+    # for click.echo to strip; writing the pieces directly skips its copy
+    # and scan of a line that holds a whole echoed text
+    if fmt == "json":
+        sys.stdout.writelines(_json_pieces(report))
+        sys.stdout.write("\n")
+    else:
+        for path, leaf in _leaves(report):
+            sys.stdout.write(f"{path}: ")
+            sys.stdout.writelines(_json_pieces(leaf))
+            sys.stdout.write("\n")
+    sys.stdout.flush()
     if record.failure is not None:
         click.echo(record.failure, err=True)
         sys.exit(CHECK_FAILED)
@@ -250,13 +260,7 @@ def psi_build(instance_file: str, fmt: str) -> None:
     with _report("psi build", fmt) as rec:
         rec.inputs = {"instance": instance_file}
         instance = _load_instance(instance_file)
-        lengths = {"pattern": psi.pattern_length(instance.g), "text": psi.text_length(instance)}
-        for side, length in lengths.items():
-            if length > gap.DEFAULT_MAX_TEXT_LEN:
-                raise ValueError(
-                    f"instance too large: the gadget {side} would have {length} elements,"
-                    f" over {gap.DEFAULT_MAX_TEXT_LEN}"
-                )
+        psi.require_gadget_within(instance, gap.DEFAULT_MAX_TEXT_LEN)
         rec.result = psi.reduce_psi(instance).to_json_obj()
 
 
@@ -337,15 +341,14 @@ def gap_check_bounds(epsilon: str, k_: int, n_: str, fmt: str) -> None:
 @click.option("--pattern", required=True)
 @click.option("--text", required=True)
 @click.option("--alpha", type=int, required=True)
-@click.option("--cap", type=int, default=None, help="Safety cap on the inflated text length.")
 @_format_option
-def gap_verify(pattern: str, text: str, alpha: int, cap: int | None, fmt: str) -> None:
+def gap_verify(pattern: str, text: str, alpha: int, fmt: str) -> None:
     """Run the yes/no-case property battery on one desk-scale input."""
     with _report("gap verify", fmt) as rec:
         pi, pi_echo = _load_permutation(pattern)
         tau, tau_echo = _load_permutation(text)
         rec.inputs = {"pattern": pi_echo, "text": tau_echo, "alpha": alpha}
-        report = gap.verify_core(pi, tau, alpha, max_text_len=cap)
+        report = gap.verify_core(pi, tau, alpha)
         rec.result = report.to_json_obj()
         if not report.checks_pass:
             rec.failure = "gap construction checks failed"
@@ -358,35 +361,26 @@ def selfcheck_cmd(scale: str, fmt: str) -> None:
     """Run the acceptance criteria suites."""
     from permpat import selfcheck
 
-    started = time.perf_counter()
-    results = selfcheck.run_all(scale)
-    if fmt == "json":
-        _emit(
-            "selfcheck",
-            {"scale": scale},
-            {
-                "passed": sum(1 for r in results if r.passed),
-                "failed": sum(1 for r in results if not r.passed),
-                "criteria": [
-                    {
-                        "id": r.cid,
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "elapsed_s": round(r.elapsed_s, 2),
-                    }
-                    for r in results
-                ],
-            },
-            started,
-            fmt,
-        )
-    else:
-        for r in results:
-            click.echo(r.line())
-        click.echo(f"passed {sum(1 for r in results if r.passed)}/{len(results)}")
-    if any(not r.passed for r in results):
-        sys.exit(CHECK_FAILED)
+    with _report("selfcheck", fmt) as rec:
+        rec.inputs = {"scale": scale}
+        results = selfcheck.run_all(scale)
+        failed = sum(1 for r in results if not r.passed)
+        rec.result = {
+            "passed": len(results) - failed,
+            "failed": failed,
+            "criteria": [
+                {
+                    "id": r.cid,
+                    "name": r.name,
+                    "passed": r.passed,
+                    "detail": r.detail,
+                    "elapsed_s": round(r.elapsed_s, 2),
+                }
+                for r in results
+            ],
+        }
+        if failed:
+            rec.failure = f"selfcheck failed: {failed} of {len(results)} criteria"
 
 
 if __name__ == "__main__":

@@ -121,17 +121,30 @@ def _inflated_pattern(pi: Permutation, alpha: int) -> tuple[int, ...]:
     return (*range(first, first + run), *(v + run - 1 if v > first else v for v in pi[1:]))
 
 
-def _require_within_cap(k: int, n: int, alpha: int, max_text_len: int | None) -> tuple[int, int]:
-    """(k', n') of the inflation, or ValueError when n' exceeds the cap.
-
-    The cap (default 10^6) is checked by bit length first: for n >= 2,
-    n' >= n^alpha >= 2^(alpha*(bitlen(n)-1)), so a large alpha is refused
-    before n^alpha is computed.
-    """
+def _require_inflatable(k: int, n: int, alpha: int) -> None:
     if k < 1 or n < 1:
         raise ValueError("empty inputs")
     if alpha < 1:
         raise ValueError("alpha must be positive")
+
+
+def build_core(
+    pi: Permutation,
+    tau: Permutation,
+    alpha: int,
+    max_text_len: int | None = None,
+) -> GapInstance:
+    """The inflation step alone, for an explicit alpha, as an inflated GapInstance.
+
+    Exposed separately because the threshold test forces the trivial branch
+    for every desk-scale text, so only the alpha-parametrized core can be
+    exercised against brute force.  Inflated texts longer than
+    ``max_text_len`` (default 10^6) are rejected before anything is built:
+    first by bit length, since n' >= n^alpha >= 2^(alpha*(bitlen(n)-1))
+    for n >= 2, so that a large alpha is refused before n^alpha is computed.
+    """
+    k, n = len(pi), len(tau)
+    _require_inflatable(k, n, alpha)
     if max_text_len is None:
         max_text_len = DEFAULT_MAX_TEXT_LEN
     bits = alpha * (n.bit_length() - 1)
@@ -146,24 +159,6 @@ def _require_within_cap(k: int, n: int, alpha: int, max_text_len: int | None) ->
             f"instance too large: n' = {_as_decimal(n_prime)},"
             f" over the cap of {_as_decimal(max_text_len)}"
         )
-    return k_prime, n_prime
-
-
-def build_core(
-    pi: Permutation,
-    tau: Permutation,
-    alpha: int,
-    max_text_len: int | None = None,
-) -> GapInstance:
-    """The inflation step alone, for an explicit alpha, as an inflated GapInstance.
-
-    Exposed separately because the threshold test forces the trivial branch
-    for every desk-scale text, so only the alpha-parametrized core can be
-    exercised against brute force.  Inflated texts longer than
-    ``max_text_len`` (default 10^6) are rejected before anything is built.
-    """
-    k, n = len(pi), len(tau)
-    k_prime, n_prime = _require_within_cap(k, n, alpha, max_text_len)
     one = Permutation((1,))
     text_blocks = [layered([n**alpha] * (alpha * k))] + [one] * (n - 1)
     return GapInstance(
@@ -422,12 +417,7 @@ class CoreReport:
         }
 
 
-def verify_core(
-    pi: Permutation,
-    tau: Permutation,
-    alpha: int,
-    max_text_len: int | None = None,
-) -> CoreReport:
+def verify_core(pi: Permutation, tau: Permutation, alpha: int) -> CoreReport:
     """Check the structural claims of the inflation on one desk-scale input.
 
     Yes-side: at least n^(alpha^2 k) copies.  No-side: no copy touches the
@@ -447,15 +437,16 @@ def verify_core(
     m = alpha*k the contraction gives back pi, so that term's left-aligned
     count decides which side of the gap the source is on.
 
-    An instance is refused with ValueError, before any power or binomial is
-    computed, when build_core would refuse it (n' over ``max_text_len``) or
-    when (n^alpha)^k', which bounds every power and binomial of the count,
-    does not fit in POWER_BIT_BUDGET bits.  The second refuses some
-    instances within the cap, such as a pattern of length 262145 with
-    n = 2 and alpha = 1.
+    No inflated text is built, so n' is not capped.  An instance is refused
+    with ValueError, before any power or binomial is computed, when
+    (n^alpha)^k', which bounds every power and binomial of the count, does
+    not fit in POWER_BIT_BUDGET bits; n^alpha is bounded first, before it
+    is computed.
     """
     k, n = len(pi), len(tau)
-    k_prime, n_prime = _require_within_cap(k, n, alpha, max_text_len)
+    _require_inflatable(k, n, alpha)
+    require_power_within_budget(n, alpha)
+    k_prime, n_prime = inflated_lengths(n, k, alpha)
     layers, size = alpha * k, n**alpha
     require_power_within_budget(size, k_prime)
     pattern = _inflated_pattern(pi, alpha)

@@ -176,6 +176,16 @@ def text_length(instance: PsiInstance) -> int:
     return 2 + 5 * instance.h.vertex_count + 2 * instance.bichromatic_edge_count()
 
 
+def require_gadget_within(instance: PsiInstance, cap: int) -> None:
+    """ValueError naming the side and its length when the gadget pattern or
+    text of the instance would be longer than cap; nothing is built."""
+    for side, length in (("pattern", pattern_length(instance.g)), ("text", text_length(instance))):
+        if length > cap:
+            raise ValueError(
+                f"instance too large: the gadget {side} would have {length} elements, over {cap}"
+            )
+
+
 def _pattern_grid(g: Graph) -> list[tuple[int, int, str]]:
     """Grid encoding of G: vertex i has rank i on both axes."""
     k = g.vertex_count
@@ -288,8 +298,7 @@ def verify_reduction(
     pattern or text would be longer than ``max_text_len`` are rejected
     before anything is built.
     """
-    if max(pattern_length(instance.g), text_length(instance)) > max_text_len:
-        raise ValueError("instance too large for oracle verification")
+    require_gadget_within(instance, max_text_len)
     gadget = reduce_psi(instance)
     witness = solve_psi_bruteforce(instance)
     psi_answer = witness is not None

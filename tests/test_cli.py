@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from permpat import backend, build_core, count_inversions, gap, matching, psi
+from permpat import backend, build_core, count_inversions, gap, matching, psi, selfcheck
 from permpat.cli import main
 from permpat.core import Permutation
 
@@ -64,7 +64,7 @@ class TestDetect:
     def test_plain_format(self, runner):
         res = run(runner, "detect", "--pattern", "1", "--text", "1", "--format", "plain")
         assert res.exit_code == 0
-        assert "contains: True" in res.output
+        assert "result.contains: true" in res.output.splitlines()
 
     def test_report_names_its_backend(self, runner):
         doc = payload(run(runner, "detect", "--pattern", "312", "--text", "24153"))
@@ -72,9 +72,11 @@ class TestDetect:
         assert list(doc) == ["command", "backend", "inputs", "result", "elapsed_ms"]
         assert doc["result"] == {"contains": True}
         plain = run(runner, "detect", "--pattern", "312", "--text", "24153", "--format", "plain")
-        assert plain.output.splitlines() == [
-            "command: detect", "  pattern: 3 1 2", "  text: 2 4 1 5 3", "  left_aligned: False", "contains: True",
+        assert plain.output.splitlines()[:-1] == [
+            'command: "detect"', f'backend: "{backend.BACKEND_NAME}"', 'inputs.pattern: "3 1 2"',
+            'inputs.text: "2 4 1 5 3"', "inputs.left_aligned: false", "result.contains: true",
         ]
+        assert plain.output.splitlines()[-1].startswith("elapsed_ms: ")
 
 
 class TestCount:
@@ -443,12 +445,12 @@ class TestGap:
         assert doc["checks_pass"] is True
 
     def test_verify_count_past_str_limit(self, runner, tmp_path):
-        # the README's way to raise --cap; the count is past Python's
-        # 4300-digit str limit, which is bad input, not a traceback
+        # n' = 1499 + 1500 * 1500; the count is past Python's 4300-digit
+        # str limit, which is bad input, not a traceback
         f = tmp_path / "id1500.txt"
         f.write_text(" ".join(map(str, range(1, 1501))))
         res = run(runner, "gap", "verify", "--pattern", f"@{f}", "--text", f"@{f}",
-                  "--alpha", "1", "--cap", "100000000")
+                  "--alpha", "1")
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [
@@ -479,9 +481,10 @@ class TestReportGuard:
              gap.BoundsReport, "to_json_obj"),
             (["gap", "verify", "--pattern", "12", "--text", "21", "--alpha", "1"],
              gap.CoreReport, "to_json_obj"),
+            (["selfcheck"], selfcheck, "run_all"),
         ],
         ids=["detect", "count", "psi-build", "psi-verify", "gap-build", "gap-core",
-             "gap-check-bounds", "gap-verify"],
+             "gap-check-bounds", "gap-verify", "selfcheck"],
     )
     def test_value_error_is_one_line_and_exit_2(self, runner, instance_file, monkeypatch, argv, owner, name):
         def fail(*args, **kwargs):
@@ -528,12 +531,12 @@ PINNED_ERROR_PATHS = [
     ["gap", "check-bounds", "--epsilon", "2/5", "--k", "1", "--n", "2^2000000"],
     ["psi", "verify", "instance.json", "--max-text-len", "5"],
     ["gap", "verify", "--pattern", "21", "--text", "2413", "--alpha", "12"],
-    ["gap", "verify", "--pattern", "21", "--text", "2413", "--alpha", "12", "--cap", "1000000000"],
+    ["gap", "verify", "--pattern", "21", "--text", "321", "--alpha", "100000000"],
 ]
 
 # sha256 of the lines below, for every README command, each again with
 # --format plain, and PINNED_ERROR_PATHS
-PINNED_SHA256 = "f1fee7896aa79b18b6cfee664e2f5ff930ea075343529a9f66615f4db700fcaf"
+PINNED_SHA256 = "d1b54c3b43b50a160bd9b56021a2c85e4fd5851962dfa0dd7584b9a197c1291b"
 
 
 class TestPinnedBytes:
@@ -551,9 +554,47 @@ class TestPinnedBytes:
             res = runner.invoke(main, argv)
             stdout = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": *', res.stdout)
             stdout = re.sub(r'"backend": "[a-z-]+"', '"backend": *', stdout)
+            # the same two fields in --format plain
+            stdout = re.sub(r'(?m)^elapsed_ms: [0-9.e+-]+$', 'elapsed_ms: *', stdout)
+            stdout = re.sub(r'(?m)^backend: "[a-z-]+"$', 'backend: *', stdout)
             lines.append(f"{shlex.join(argv)} | {res.exit_code} | {stdout} | {res.stderr}")
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == PINNED_SHA256, "\n".join(lines)
+
+
+def report_leaves(obj, path=""):
+    """(dotted path, value) of each leaf of a JSON report, in order."""
+    if isinstance(obj, (dict, list)) and obj:
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [leaf for key, val in items
+                for leaf in report_leaves(val, f"{path}.{key}" if path else str(key))]
+    return [(path, obj)]
+
+
+def plain_leaves(output):
+    leaves = []
+    for line in output.splitlines():
+        path, sep, value = line.partition(": ")
+        assert sep, line
+        leaves.append((path, json.loads(value)))
+    return leaves
+
+
+class TestPlainFormat:
+    def test_each_line_is_a_leaf_of_the_json_report(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "instance.json").write_text(
+            '{"G": {"k": 2, "edges": [[1, 2]]}, "H": {"n": 2, "edges": [[1, 2]]}, "chi": [1, 2]}'
+        )
+        bounds = ["gap", "check-bounds", "--epsilon", "1/3", "--k", "1", "--n", "10^800"]
+        for argv in readme_usage_commands() + [bounds]:
+            doc = runner.invoke(main, argv)
+            plain = runner.invoke(main, argv + ["--format", "plain"])
+            assert doc.exit_code == plain.exit_code == 0, argv
+            want = [leaf for leaf in report_leaves(json.loads(doc.stdout)) if leaf[0] != "elapsed_ms"]
+            got = plain_leaves(plain.stdout)
+            assert got[-1][0] == "elapsed_ms"
+            assert got[:-1] == want, argv
 
 
 class TestSelfcheck:
@@ -564,9 +605,23 @@ class TestSelfcheck:
     def test_quick_passes(self, runner):
         res = run(runner, "selfcheck", "--scale", "quick", "--format", "plain")
         assert res.exit_code == 0, res.output
-        assert "passed 12/12" in res.output
+        assert {"result.passed: 12", "result.failed: 0"} <= set(res.output.splitlines())
 
     def test_json_report_names_its_backend(self, runner):
-        doc = payload(run(runner, "selfcheck", "--scale", "quick"))
+        # stdout alone: a failed criterion (c11 on the pure backend) adds a stderr line
+        doc = json.loads(run(runner, "selfcheck", "--scale", "quick").stdout)
         assert (doc["command"], doc["backend"]) == ("selfcheck", backend.BACKEND_NAME)
         assert len(doc["result"]["criteria"]) == 12
+
+    def test_failed_run_is_one_stderr_line_and_exit_1(self, runner, monkeypatch):
+        failing = selfcheck.CriterionResult(1, "stub", False, "first failure: stub", 0.0)
+        monkeypatch.setattr(selfcheck, "run_all", lambda scale: [failing])
+        res = run(runner, "selfcheck")
+        assert res.exit_code == 1
+        doc = json.loads(res.stdout)
+        assert (doc["result"]["passed"], doc["result"]["failed"]) == (0, 1)
+        assert doc["result"]["criteria"][0]["passed"] is False
+        assert res.stderr.splitlines() == ["selfcheck failed: 1 of 1 criteria"]
+        plain = run(runner, "selfcheck", "--format", "plain")
+        assert plain.exit_code == 1
+        assert ("result.failed", 1) in plain_leaves(plain.stdout)

@@ -117,13 +117,18 @@ class TestBuildCore:
             with pytest.raises(ValueError, match="too large"):
                 gap.build_core(pi, tau, alpha, max_text_len=n_prime - 1)
 
-    @pytest.mark.parametrize("command", ["core", "verify"])
-    def test_huge_alpha_refused_before_the_power(self, command):
-        # 3^(10^8) has about 1.6 * 10^8 bits
+    @pytest.mark.parametrize(
+        "command, refusal",
+        [("core", "instance too large"), ("verify", "operands too large")],
+        ids=["core", "verify"],
+    )
+    def test_huge_alpha_refused_before_the_power(self, command, refusal):
+        # 3^(10^8) has about 1.6 * 10^8 bits: over the cap of gap core, and
+        # over the bit budget of gap verify, which builds no text
         proc = run_cli("gap", command, "--pattern", "21", "--text", "321",
                        "--alpha", "100000000", timeout=10)
         assert proc.returncode == 2
-        assert "instance too large" in proc.stderr
+        assert refusal in proc.stderr
 
     @given(perm(max_n=3), perm(max_n=3), st.integers(1, 3))
     @settings(max_examples=120)
@@ -236,6 +241,15 @@ class TestVerifyCore:
         digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
         assert digest == self.REPORTS_SHA256
 
+    def test_reports_past_a_million_pinned(self):
+        # n' = 402653187, 41943041 and 7077891: the same reports as when
+        # n' was capped at 10^6 and the cap was raised to 10^9
+        sources = [(P("21"), P("2413"), 12), (P("12"), P("21"), 20), (P("132"), P("2413"), 9)]
+        reports = [gap.verify_core(pi, tau, alpha).to_json_obj() for pi, tau, alpha in sources]
+        assert [r["n_prime"] for r in reports] == [402653187, 41943041, 7077891]
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == "a768a1d2db3ce2e78151933f09171f0ec8f4e51e0e08b60e4c2dfcc8600da026"
+
     def test_yes_case_bound(self):
         report = gap.verify_core(P("21"), P("21"), 1)
         assert report.source_has_left_aligned_copy
@@ -345,9 +359,9 @@ class TestCountInflated:
         # 3^(10^7) has about 1.6 * 10^7 bits
         with pytest.raises(ValueError, match="too large"):
             gap.verify_core(P("21"), P("321"), 10**7)
-        # n' = 2 + 4000 * 3^2000 fits the cap, but (3^2000)^4001 not the bit budget
+        # 3^2000 fits the bit budget, but (3^2000)^4001 does not
         with pytest.raises(ValueError, match="operands too large"):
-            gap.verify_core(P("21"), P("321"), 2000, max_text_len=10**1000)
+            gap.verify_core(P("21"), P("321"), 2000)
 
     def test_budget_refuses_within_the_cap(self):
         # n' = 2k + 1 = 524291 is within the default cap, and gap core builds
@@ -366,7 +380,7 @@ class TestCountInflated:
     def test_large_alpha_verified_without_the_text(self):
         # n' = 3 + 24 * 4^12, about 4 * 10^8: counted, never built
         proc = run_cli("gap", "verify", "--pattern", "21", "--text", "2413",
-                       "--alpha", "12", "--cap", "1000000000", timeout=10)
+                       "--alpha", "12", timeout=10)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)["result"]
         assert result["checks_pass"] is True

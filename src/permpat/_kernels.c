@@ -4,7 +4,9 @@
  * Same contract as permpat/_kernels_py.py; permpat/_kernels.py builds this
  * file with the system C compiler and loads it through ctypes.  Values are
  * C longs (the item type of Python's array('l')), which no function here
- * modifies; every function that allocates returns -1 when that fails.
+ * modifies.  A function that returns a count or a flag returns a code
+ * instead when it has none: -1 when a malloc failed, -2 for an input outside
+ * its contract, and -3 when the result could pass 2^63 - 1.
  *
  * Counts are long long.  A search without the prefix-count table adds 1 per
  * copy, so a count past 2^63 - 1 would take 2^63 steps first: it cannot
@@ -14,12 +16,12 @@
  * n, so at most floor(n / 2)^2 <= 2^20, or C(m, 2) < 2^21 when both share
  * one rectangle of m <= n elements.  A count could thus wrap only after
  * more than 2^63 / 2^21 = 2^42 > 4 * 10^12 leaves, and count_pattern
- * returns -1 rather than let it: its table searches stop at
+ * returns -3 rather than let it: its table searches stop at
  * TABLE_COUNT_LIMIT.  Below that limit every total is exact, also the sum
  * #pat + #pat' that a swap pair counts (at most C(n, k)) and the
  * difference taken from it.  The inversions of a permutation of 1..n number
  * at most n(n - 1)/2, under 2^63 for the n <= UINT32_MAX that
- * count_inversions accepts.
+ * count_inversions accepts; it returns -3 past that.
  *
  * The file is standard C for any cc with the flags of _kernels.py: bits
  * are counted by popcount64's shifts and masks, not a compiler builtin.
@@ -33,8 +35,8 @@
  * 2049 * 2050 * 2 bytes (8.4 MB), and its counts fit in an unsigned short. */
 #define TABLE_MAX_N 2048
 
-/* A search that reads the table stops once its total reaches this: a leaf
- * adds at most C(TABLE_MAX_N, 2) < 2^21, so the total cannot wrap first. */
+/* A table search returns -3 once its total reaches this: a leaf adds at
+ * most C(TABLE_MAX_N, 2) < 2^21, so the total cannot wrap first. */
 #define TABLE_COUNT_LIMIT (LLONG_MAX - (1LL << 21) + 1)
 
 /* Table of below[s * (n + 2) + v] = #{p >= s : txt[p] < v}, for 0 <= s <= n
@@ -207,9 +209,9 @@ static long long leaf(const struct search *s, const unsigned short *below, long 
 /* Matches of s in txt[0..n), idx and val holding m + 2 slots.  The last
  * searched position adds 1 or a leaf per candidate.  The table is built
  * into *below at the first leaf, so a search whose prefixes all die early
- * never pays for it.  A positive limit stops the search once the total
- * reaches it. */
-static long long search(const struct search *s, const long *txt, long n, long long limit,
+ * never pays for it.  detect, which only a search without free positions
+ * gets, returns 1 at the first match. */
+static long long search(const struct search *s, const long *txt, long n, int detect,
                         unsigned short **below, long *idx, long *val)
 {
     long m = s->m;
@@ -227,6 +229,8 @@ static long long search(const struct search *s, const long *txt, long n, long lo
             for (; i <= last; i++) {
                 if (lo < txt[i] && txt[i] < hi) {
                     if (s->nfree == 0) {
+                        if (detect)
+                            return 1;
                         total++;
                     } else {
                         if (*below == NULL && (*below = below_table(txt, n)) == NULL)
@@ -234,9 +238,9 @@ static long long search(const struct search *s, const long *txt, long n, long lo
                         idx[j] = i;
                         val[j] = txt[i];
                         total += leaf(s, *below, n + 2, idx, val);
+                        if (total >= TABLE_COUNT_LIMIT)
+                            return -3;
                     }
-                    if (limit && total >= limit)
-                        return total;
                 }
             }
         } else {
@@ -264,12 +268,12 @@ static long long search(const struct search *s, const long *txt, long n, long lo
 /* Order-isomorphic occurrences of pat[0..k) in txt[0..n), values in 1..k and
  * 1..n.  Backtracks over pattern positions left to right; each position's
  * candidates are bounded by the values matched at its order constraints.
- * pin_first puts pattern position 0 on text position 0; a positive limit
- * stops the search once that many copies are found.  Pattern values index
- * arrays here, so a pattern that is not a permutation of 1..k returns -2
- * before any is read as an index.
+ * pin_first puts pattern position 0 on text position 0; detect returns 1 at
+ * the first copy, so the result is 0 or 1.  Pattern values index arrays
+ * here, so a pattern that is not a permutation of 1..k returns -2 before
+ * any is read as an index.
  *
- * A full count (limit 0) with k >= 3 on a text of n <= TABLE_MAX_N
+ * A count (not detect) with k >= 3 on a text of n <= TABLE_MAX_N
  * searches all but two free positions c < d, and each leaf adds the
  * placements of both from the prefix-count table.  When pinned, position 0
  * stays searched and the pair is taken from positions 1..k - 1.  An exact
@@ -283,7 +287,7 @@ static long long search(const struct search *s, const long *txt, long n, long lo
  * and 2 serves, and position 2 alone is freed.  The search thus reaches
  * O(n^(k - 2)) leaves unpinned and O(n^(k - 3)) pinned (O(n) at k = 3). */
 long long count_pattern(const long *pat, long k, const long *txt, long n,
-                        int pin_first, long long limit)
+                        int pin_first, int detect)
 {
     if (k < 1 || k > n)
         return 0;
@@ -306,15 +310,12 @@ long long count_pattern(const long *pat, long k, const long *txt, long n,
     struct search s[2];
     long c = -1, d = -1, c2 = -1, d2 = -1, from = pin_first != 0;
     int searches = 1;
-    if (limit == 0 && k >= 3 && n <= TABLE_MAX_N && !exact_pair(p, k, from, &c, &d)) {
+    if (!detect && k >= 3 && n <= TABLE_MAX_N && !exact_pair(p, k, from, &c, &d)) {
         if (swap_pair(p, k, from, &c, &d, &c2, &d2))
             searches = 2;
         else if (pin_first)
             c = k - 1;
     }
-    int table = c >= 0;
-    if (table)
-        limit = TABLE_COUNT_LIMIT;
     plan(&s[0], p, pos, k, c, d, pin_first != 0, red, cons, cons + k, list);
     if (searches == 2) {
         long t = p[c];
@@ -326,13 +327,11 @@ long long count_pattern(const long *pat, long k, const long *txt, long n,
     }
 
     unsigned short *below = NULL;
-    long long total = search(&s[0], txt, n, limit, &below, idx, val);
-    if (searches == 2 && total >= 0 && total < TABLE_COUNT_LIMIT) {
-        long long other = search(&s[1], txt, n, limit, &below, idx, val);
-        total = other < 0 ? -1 : total - other;
+    long long total = search(&s[0], txt, n, detect, &below, idx, val);
+    if (searches == 2 && total >= 0) {
+        long long other = search(&s[1], txt, n, detect, &below, idx, val);
+        total = other < 0 ? other : total - other;
     }
-    if (table && total >= TABLE_COUNT_LIMIT)
-        total = -1;
     free(below);
     free(work);
     return total;
@@ -355,14 +354,14 @@ static int popcount64(uint64_t x)
  * the marked bits of that word below v; position i adds the i earlier
  * values minus those.  No prefix reaches the last of the nw words, so the
  * tree holds nw - 1.  Returns -2 at the first value outside 1..n or
- * repeated, before it is marked, and -1 when n > UINT32_MAX (a count could
- * wrap) or malloc fails. */
+ * repeated, before it is marked, -3 when n > UINT32_MAX (a count could
+ * wrap), and -1 when malloc fails. */
 long long count_inversions(const long *a, long n)
 {
     if (n < 1)
         return 0;
     if ((unsigned long long)n > UINT32_MAX)
-        return -1;
+        return -3;
     long nw = (n + 63) / 64;
     uint64_t *seen = calloc((size_t)nw, sizeof *seen);
     uint32_t *tree = calloc((size_t)nw, sizeof *tree);
@@ -424,7 +423,7 @@ static int is_separator(unsigned char c)
 }
 
 /* Number of tokens in s[0..len) when every token is 1 to MAX_DIGITS ASCII
- * digits and every other byte is a separator; -1 otherwise, for the caller
+ * digits and every other byte is a separator; -2 otherwise, for the caller
  * to parse s some other way.  Each round skips the separators before a
  * token, then scans its digits.
  *
@@ -451,7 +450,7 @@ long count_values(const char *s, long len, int *canonical)
         while (i < len && (unsigned char)(u[i] - '0') < 10)
             i++;
         if (i == start || i - start > MAX_DIGITS)
-            return -1;
+            return -2;
         if (u[start] == '0' && i - start > 1)
             canon = 0;
         count++;

@@ -19,7 +19,7 @@ import ctypes
 import os
 import zlib
 from array import ArrayType, array
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from permpat import _kernels_py
 
@@ -31,8 +31,6 @@ BACKEND_NAME = "compiled"
 # slowed the kernel calls of the gap-verify benchmark by about 13% (x86-64,
 # gcc -O2).
 _FLAGS = ("-O2", "-falign-functions=64", "-shared", "-fPIC")
-# ctypes wraps out-of-range integers silently: c_longlong(2**70) is 0
-_LLONG_MAX = 2**63 - 1
 
 
 def _library_path(source: bytes) -> str:
@@ -84,7 +82,7 @@ def _load() -> ctypes.CDLL:
             raise ImportError(f"loading the compiled kernels failed: {exc}") from exc
     c_long, c_void_p = ctypes.c_long, ctypes.c_void_p
     signatures = {
-        "count_pattern": (ctypes.c_longlong, (c_void_p, c_long, c_void_p, c_long, ctypes.c_int, ctypes.c_longlong)),
+        "count_pattern": (ctypes.c_longlong, (c_void_p, c_long, c_void_p, c_long, ctypes.c_int, ctypes.c_int)),
         "count_inversions": (ctypes.c_longlong, (c_void_p, c_long)),
         "is_permutation": (ctypes.c_int, (c_void_p, c_long)),
         "count_values": (c_long, (ctypes.c_char_p, c_long, ctypes.POINTER(ctypes.c_int))),
@@ -102,6 +100,17 @@ def _load() -> ctypes.CDLL:
 
 
 _lib = _load()
+
+
+def _fail(code: int, name: str, refusal: str = "") -> NoReturn:
+    """Raise the error of kernel name's negative result code (``_kernels.c``):
+    MemoryError for -1, ValueError(refusal) for -2, and for -3 a ValueError
+    naming the bound 2^63 - 1."""
+    if code == -1:
+        raise MemoryError()
+    if code == -2:
+        raise ValueError(refusal)
+    raise ValueError(f"{name}'s result could pass 2^63 - 1, the largest count the compiled kernels return")
 
 
 def _packed(values: Sequence[int]) -> array:
@@ -122,11 +131,13 @@ def count_pattern(
     Backtracks over pattern positions left to right, pruning candidate text
     elements by the value interval implied by the partial match.  With
     ``pin_first`` the first pattern element must use the first text element.
-    A positive ``limit`` stops the search once that many occurrences are
-    found (limit=1 is detection).  The C search indexes arrays by pattern
-    values, so a pattern that is not a permutation of 1..k raises
-    ValueError.
+    ``limit`` 0 counts, 1 detects (the result is then 0 or 1), and any other
+    value raises ValueError.  The C search indexes arrays by pattern values,
+    so a pattern that is not a permutation of 1..k raises ValueError, as
+    does a count that could pass 2^63 - 1.
     """
+    if limit != 0 and limit != 1:
+        raise ValueError(f"count_pattern takes limit 0 (count) or 1 (detect), not {limit}")
     k = len(pattern)
     n = len(text)
     if k == 0:
@@ -135,14 +146,9 @@ def count_pattern(
         return 0
     pat = _packed(pattern)
     txt = _packed(text)
-    total = _lib.count_pattern(
-        pat.buffer_info()[0], k, txt.buffer_info()[0], n, bool(pin_first),
-        max(-_LLONG_MAX, min(limit, _LLONG_MAX)),
-    )
-    if total == -2:
-        raise ValueError(f"count_pattern needs a pattern of distinct values in 1..{k}")
+    total = _lib.count_pattern(pat.buffer_info()[0], k, txt.buffer_info()[0], n, bool(pin_first), limit)
     if total < 0:
-        raise MemoryError()
+        _fail(total, "count_pattern", f"count_pattern needs a pattern of distinct values in 1..{k}")
     return total
 
 
@@ -152,7 +158,7 @@ def count_inversions(values: Sequence[int]) -> int:
     Fenwick tree of its 64-bit words.
 
     A value outside 1..n, also one past a C long, or a repeated one raises
-    ValueError.
+    ValueError, as does n > 2^32 - 1, where the count could pass 2^63 - 1.
     """
     try:
         vals = _packed(values)
@@ -160,10 +166,8 @@ def count_inversions(values: Sequence[int]) -> int:
         inv = -2
     else:
         inv = _lib.count_inversions(vals.buffer_info()[0], len(vals))
-    if inv == -2:
-        raise ValueError(f"count_inversions needs distinct values in 1..{len(values)}")
     if inv < 0:
-        raise MemoryError()
+        _fail(inv, "count_inversions", f"count_inversions needs distinct values in 1..{len(values)}")
     return inv
 
 
@@ -175,7 +179,7 @@ def is_permutation(values: Sequence[int]) -> bool:
         return False
     ok = _lib.is_permutation(vals.buffer_info()[0], len(vals))
     if ok < 0:
-        raise MemoryError()
+        _fail(ok, "is_permutation")
     return bool(ok)
 
 

@@ -50,9 +50,11 @@ def count_pattern(
     Backtracks over pattern positions left to right, pruning candidate text
     elements by the value interval implied by the partial match.  With
     ``pin_first`` the first pattern element must use the first text element.
-    A positive ``limit`` stops the search once that many occurrences are
-    found (limit=1 is detection).
+    ``limit`` 0 counts, 1 detects (the result is then 0 or 1), and any other
+    value raises ValueError.
     """
+    if limit != 0 and limit != 1:
+        raise ValueError(f"count_pattern takes limit 0 (count) or 1 (detect), not {limit}")
     k = len(pattern)
     n = len(text)
     if k == 0:
@@ -76,9 +78,9 @@ def count_pattern(
         if j == k - 1:
             while i <= last:
                 if lo < text[i] < hi:
+                    if limit:
+                        return 1
                     total += 1
-                    if limit and total >= limit:
-                        return total
                 i += 1
         else:
             while i <= last:

@@ -430,12 +430,15 @@ def verify_core(pi: Permutation, tau: Permutation, alpha: int) -> CoreReport:
     text.  The initial block L is a prefix of the text and an interval of
     its values, so a copy of the inflated pattern P puts some prefix P[:m]
     in L.  The copies with m = 0 are the copies of P in tau with its first
-    element deleted.  For m >= 1, P[:m] must be an interval of P's values;
-    its copies in L are counted in closed form (C(alpha*k, m) * (n^alpha)^m
-    while the prefix is increasing), and the rest of the copy is a
-    left-aligned copy in tau of P with P[:m] contracted to one point.  At
-    m = alpha*k the contraction gives back pi, so that term's left-aligned
-    count decides which side of the gap the source is on.
+    element deleted.  For 1 <= m <= alpha*k, P[:m] is an increasing run of
+    consecutive values; its copies in L number C(alpha*k, m) * (n^alpha)^m,
+    and the rest of the copy is a left-aligned copy in tau of P with P[:m]
+    contracted to one point.  At m = alpha*k the contraction gives back pi,
+    so that term's left-aligned count decides which side of the gap the
+    source is on.  No copy puts more than alpha*k elements in L: for
+    k >= 2 the element after the run lies below or above every run value,
+    and L, alpha*k increasing layers, holds no copy of P[:alpha*k+1] (the
+    block-usage lemma, which the report checks); for k = 1, k' = alpha*k.
 
     No inflated text is built, so n' is not capped.  An instance is refused
     with ValueError, before any power or binomial is computed, when
@@ -450,28 +453,20 @@ def verify_core(pi: Permutation, tau: Permutation, alpha: int) -> CoreReport:
     layers, size = alpha * k, n**alpha
     require_power_within_budget(size, k_prime)
     pattern = _inflated_pattern(pi, alpha)
-    # copies of P[:alpha*k+1] in L; every longer prefix in L contains one
+    # copies of P[:alpha*k+1] in L, none by the block-usage lemma
     beyond_run = _block_copies(pattern[: layers + 1], layers, size) if k_prime > layers else 0
     touching = 0
     # whether tau holds a left-aligned copy of pi; False when k > n, as the
     # loop then starts past m = alpha*k
     yes_side = False
     # a contracted pattern longer than tau has no copy: start at m = k' - n + 1
-    for m in range(max(1, k_prime - n + 1), k_prime + 1):
-        if m <= layers:  # P[:m] is the increasing run of the values lo..hi
-            lo, hi = pattern[0], pattern[0] + m - 1
-            in_block = comb(layers, m) * size**m
-        elif beyond_run:
-            lo, hi = min(pattern[:m]), max(pattern[:m])
-            in_block = _block_copies(pattern[:m], layers, size) if hi - lo == m - 1 else 0
-        else:
-            break
-        if in_block:
-            contracted = (lo, *(v - m + 1 if v > hi else v for v in pattern[m:]))
-            left_aligned = count_left_aligned(Permutation(contracted), tau)
-            if m == layers:  # contracting the whole run gives back pi
-                yes_side = left_aligned > 0
-            touching += in_block * left_aligned
+    for m in range(max(1, k_prime - n + 1), layers + 1):
+        lo, hi = pattern[0], pattern[0] + m - 1  # P[:m] is the run lo..hi
+        contracted = (lo, *(v - m + 1 if v > hi else v for v in pattern[m:]))
+        left_aligned = count_left_aligned(Permutation(contracted), tau)
+        if m == layers:  # contracting the whole run gives back pi
+            yes_side = left_aligned > 0
+        touching += comb(layers, m) * size**m * left_aligned
     total = touching
     if k_prime < n:
         total += count_copies(Permutation(pattern), delete_leftmost(tau))

@@ -597,21 +597,29 @@ class TestPlainFormat:
             assert got[:-1] == want, argv
 
 
+# sha256 of `selfcheck --scale quick`'s JSON report, with backend,
+# elapsed_ms and each criterion's elapsed_s masked
+QUICK_SELFCHECK_SHA256 = "e6898bff99a65c7bc9b29de6d95c6baa3c9c20a9c61471e8c1d9bc6e6fb3c980"
+
+
 class TestSelfcheck:
     def test_unknown_scale_is_usage_error(self, runner):
         res = run(runner, "selfcheck", "--scale", "huge")
         assert res.exit_code == 2
 
     def test_quick_passes(self, runner):
-        res = run(runner, "selfcheck", "--scale", "quick", "--format", "plain")
-        assert res.exit_code == 0, res.output
-        assert {"result.passed: 12", "result.failed: 0"} <= set(res.output.splitlines())
-
-    def test_json_report_names_its_backend(self, runner):
-        # stdout alone: a failed criterion (c11 on the pure backend) adds a stderr line
-        doc = json.loads(run(runner, "selfcheck", "--scale", "quick").stdout)
+        # one JSON run; plain selfcheck is covered by the failed-run test.
+        # stdout alone: a failed criterion (c11 on the pure backend) adds a
+        # stderr line, and the backend is checked before the pass counts
+        res = run(runner, "selfcheck", "--scale", "quick")
+        doc = json.loads(res.stdout)
         assert (doc["command"], doc["backend"]) == ("selfcheck", backend.BACKEND_NAME)
         assert len(doc["result"]["criteria"]) == 12
+        assert (doc["result"]["passed"], doc["result"]["failed"]) == (12, 0), res.stderr
+        assert res.exit_code == 0
+        stdout = re.sub(r'"(elapsed_ms|elapsed_s)": [0-9.e+-]+', r'"\1": *', res.stdout)
+        stdout = re.sub(r'"backend": "[a-z-]+"', '"backend": *', stdout)
+        assert hashlib.sha256(stdout.encode()).hexdigest() == QUICK_SELFCHECK_SHA256, stdout
 
     def test_failed_run_is_one_stderr_line_and_exit_1(self, runner, monkeypatch):
         failing = selfcheck.CriterionResult(1, "stub", False, "first failure: stub", 0.0)

@@ -602,19 +602,27 @@ class TestPlainFormat:
 QUICK_SELFCHECK_SHA256 = "e6898bff99a65c7bc9b29de6d95c6baa3c9c20a9c61471e8c1d9bc6e6fb3c980"
 
 
+@pytest.fixture(scope="module")
+def quick_selfcheck():
+    # the quick selfcheck runs once, as JSON, for every test that reads it;
+    # plain selfcheck is covered by the failed-run test
+    return run(CliRunner(), "selfcheck", "--scale", "quick")
+
+
 class TestSelfcheck:
     def test_unknown_scale_is_usage_error(self, runner):
         res = run(runner, "selfcheck", "--scale", "huge")
         assert res.exit_code == 2
 
-    def test_quick_passes(self, runner):
-        # one JSON run; plain selfcheck is covered by the failed-run test.
-        # stdout alone: a failed criterion (c11 on the pure backend) adds a
-        # stderr line, and the backend is checked before the pass counts
-        res = run(runner, "selfcheck", "--scale", "quick")
-        doc = json.loads(res.stdout)
+    def test_json_report_names_its_backend(self, quick_selfcheck):
+        # stdout alone: a failed criterion (c11 on the pure backend) adds a stderr line
+        doc = json.loads(quick_selfcheck.stdout)
         assert (doc["command"], doc["backend"]) == ("selfcheck", backend.BACKEND_NAME)
         assert len(doc["result"]["criteria"]) == 12
+
+    def test_quick_passes(self, quick_selfcheck):
+        res = quick_selfcheck
+        doc = json.loads(res.stdout)
         assert (doc["result"]["passed"], doc["result"]["failed"]) == (12, 0), res.stderr
         assert res.exit_code == 0
         stdout = re.sub(r'"(elapsed_ms|elapsed_s)": [0-9.e+-]+', r'"\1": *', res.stdout)

@@ -134,7 +134,8 @@ def count_pattern(
     ``limit`` 0 counts, 1 detects (the result is then 0 or 1), and any other
     value raises ValueError.  The C search indexes arrays by pattern values,
     so a pattern that is not a permutation of 1..k raises ValueError, as
-    does a count that could pass 2^63 - 1.
+    does a count that could pass 2^63 - 1; a pattern longer than the text,
+    which the C search never sees, is checked here first.
     """
     if limit != 0 and limit != 1:
         raise ValueError(f"count_pattern takes limit 0 (count) or 1 (detect), not {limit}")
@@ -143,12 +144,17 @@ def count_pattern(
     if k == 0:
         raise ValueError("empty pattern")
     if k > n:
+        if not is_permutation(pattern):
+            raise ValueError(_kernels_py._pattern_refusal(k))
         return 0
-    pat = _packed(pattern)
+    try:
+        pat = _packed(pattern)
+    except OverflowError:  # a value past a C long is outside 1..k
+        raise ValueError(_kernels_py._pattern_refusal(k)) from None
     txt = _packed(text)
     total = _lib.count_pattern(pat.buffer_info()[0], k, txt.buffer_info()[0], n, bool(pin_first), limit)
     if total < 0:
-        _fail(total, "count_pattern", f"count_pattern needs a pattern of distinct values in 1..{k}")
+        _fail(total, "count_pattern", _kernels_py._pattern_refusal(k))
     return total
 
 

@@ -39,6 +39,12 @@ def _order_constraints(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
     return pred, succ
 
 
+def _pattern_refusal(k: int) -> str:
+    """The message with which both backends refuse a pattern of length k
+    that is not a permutation of 1..k."""
+    return f"count_pattern needs a pattern of distinct values in 1..{k}"
+
+
 def count_pattern(
     pattern: Sequence[int],
     text: Sequence[int],
@@ -51,7 +57,8 @@ def count_pattern(
     elements by the value interval implied by the partial match.  With
     ``pin_first`` the first pattern element must use the first text element.
     ``limit`` 0 counts, 1 detects (the result is then 0 or 1), and any other
-    value raises ValueError.
+    value raises ValueError, as does a pattern that is not a permutation of
+    1..k, also when it is longer than the text.
     """
     if limit != 0 and limit != 1:
         raise ValueError(f"count_pattern takes limit 0 (count) or 1 (detect), not {limit}")
@@ -59,6 +66,8 @@ def count_pattern(
     n = len(text)
     if k == 0:
         raise ValueError("empty pattern")
+    if not is_permutation(pattern):
+        raise ValueError(_pattern_refusal(k))
     if k > n:
         return 0
     # a list hands out the int objects it holds; an array('l') would build

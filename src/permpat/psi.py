@@ -13,6 +13,13 @@ encoded edge.  In the text grid, vertices of H are laid out by rank (their
 position in the color-class order) on one axis and by reverse rank on the
 other, which makes each color class co-layered and forces any left-aligned
 embedding of the pattern grid to pick exactly one vertex per color.
+
+Each grid is described once by its layout: the unit count m, a (rank,
+reverse rank) pair per vertex and a rank pair per encoded edge.
+``reduce_psi`` writes the grid's permutation straight from the layout in
+closed form; the labeled points, which ``psi build`` dumps, are written
+from the same layout, and ranking them with ``core.reduce_coordinates``
+gives the same permutation, which the tests and selfcheck check.
 """
 from __future__ import annotations
 
@@ -21,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from permpat.core import Permutation, reduce_coordinates
+from permpat.core import Permutation
 from permpat.matching import contains_left_aligned
 
 DEFAULT_ORACLE_TEXT_CAP = 64
@@ -138,17 +145,18 @@ def _grid_points(
     units: Sequence[tuple[int, int]],
     cell_rank_pairs: Iterable[tuple[int, int]],
 ) -> list[tuple[int, int, str]]:
-    """Shared grid builder: the (x, y, role) tuples of one grid.
+    """The (x, y, role) tuples of one grid, as ``psi build`` dumps them.
 
     ``units`` holds one (rank, reverse_rank) pair per encoded vertex, both
     1-based and each a permutation of 1..unit_count; ``cell_rank_pairs``
-    holds ordered rank pairs (a, a') that receive an off-diagonal cell
-    point.  With m = unit_count, the grid occupies coordinates 1..5m+2:
-    anchors at (1, 2m+2) and (2m+2, 1); for a unit with ranks (a, b) a row
-    pair {(2b, 3a+2m), (2b+1, 3a+2m+2)}, a column pair (its transpose)
-    {(3a+2m, 2b), (3a+2m+2, 2b+1)} and a diagonal cell point
-    (3a+2m+1, 3a+2m+1); and a cell point (3a+2m+1, 3a'+2m+1) per rank pair.
-    The whole set is symmetric under transposition.
+    holds rank pairs (a, a') that receive an off-diagonal cell point, and
+    is written in ascending order.  With m = unit_count, the grid occupies
+    coordinates 1..5m+2: anchors at (1, 2m+2) and (2m+2, 1); for a unit with
+    ranks (a, b) a row pair {(2b, 3a+2m), (2b+1, 3a+2m+2)}, a column pair
+    (its transpose) {(3a+2m, 2b), (3a+2m+2, 2b+1)} and a diagonal cell
+    point (3a+2m+1, 3a+2m+1); and a cell point (3a+2m+1, 3a'+2m+1) per rank
+    pair, with its transpose.  ``core.reduce_coordinates`` of the (x, y)
+    pairs is the permutation that ``_grid_permutation`` writes directly.
     """
     m = unit_count
     c = 2 * m
@@ -159,10 +167,57 @@ def _grid_points(
         pts.append((3 * a + c, 2 * b, "col_pair"))
         pts.append((3 * a + c + 2, 2 * b + 1, "col_pair"))
         pts.append((3 * a + c + 1, 3 * a + c + 1, "diagonal"))
-    for a1, a2 in cell_rank_pairs:
+    for a1, a2 in sorted(cell_rank_pairs):
         pts.append((3 * a1 + c + 1, 3 * a2 + c + 1, "cell"))
         pts.append((3 * a2 + c + 1, 3 * a1 + c + 1, "cell"))
     return pts
+
+
+def _grid_permutation(
+    unit_count: int,
+    units: Sequence[tuple[int, int]],
+    cell_rank_pairs: Iterable[tuple[int, int]],
+) -> Permutation:
+    """The permutation that ``core.reduce_coordinates`` makes of the grid
+    ``_grid_points`` lays out, written from the layout: no point is built
+    or sorted, only each S(a).
+
+    S(a) is rank a and the ranks that share a cell with it, ascending.  Row
+    a, its row pair and its |S(a)| cells, takes the values base(a)+1 ..
+    base(a+1), where base(1) = 2m+2 and base(a+1) = base(a) + |S(a)| + 2;
+    ties in y go by descending x, so a row's cells are valued from the
+    right.  Left to right the grid reads: the anchor 2m+2; per reverse rank
+    b = 1..m, the row pair base(a)+1, base(a+1) of its unit a; the anchor
+    1; per rank a = 1..m, the column pair's low point 2b(a), then for each
+    c in S(a) the cell in row c, base(c+1) - 1 less the cells of row c
+    read so far, then the high point 2b(a)+1.
+    """
+    m = unit_count
+    rows = [[a] for a in range(m + 1)]
+    for a1, a2 in cell_rank_pairs:
+        rows[a1].append(a2)
+        rows[a2].append(a1)
+    unit_at = [0] * (m + 1)  # unit_at[b]: the rank a of the unit with reverse rank b
+    reverse = [0] * (m + 1)
+    for a, b in units:
+        unit_at[b] = a
+        reverse[a] = b
+    top = [2 * m + 2] * (m + 1)  # top[a] = base(a+1), the row pair's high point
+    for a in range(1, m + 1):
+        rows[a].sort()
+        top[a] = top[a - 1] + len(rows[a]) + 2
+    values = [2 * m + 2]
+    for a in unit_at[1:]:
+        values += (top[a - 1] + 1, top[a])
+    values.append(1)
+    cell = [t - 1 for t in top]  # the next cell value of each row
+    for a in range(1, m + 1):
+        values.append(2 * reverse[a])
+        for c in rows[a]:
+            values.append(cell[c])
+            cell[c] -= 1
+        values.append(2 * reverse[a] + 1)
+    return Permutation(values)
 
 
 def pattern_length(g: Graph) -> int:
@@ -186,25 +241,36 @@ def require_gadget_within(instance: PsiInstance, cap: int) -> None:
             )
 
 
-def _pattern_grid(g: Graph) -> list[tuple[int, int, str]]:
-    """Grid encoding of G: vertex i has rank i on both axes."""
+def _pattern_layout(g: Graph) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """Grid layout of G: vertex i has rank i on both axes, and each edge
+    is a rank pair."""
     k = g.vertex_count
-    return _grid_points(k, [(i, i) for i in range(1, k + 1)], sorted(g.edges))
+    return k, [(i, i) for i in range(1, k + 1)], list(g.edges)
+
+
+def _text_layout(
+    instance: PsiInstance,
+) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """Grid layout of H by color-class ranks; an H-edge with equally
+    colored endpoints is no rank pair."""
+    table = ranks(instance)
+    rank = table.rank
+    chi = instance.coloring
+    units = [(r + 1, s + 1) for r, s in zip(rank, table.reverse_rank)]
+    cells = [
+        (rank[u - 1] + 1, rank[w - 1] + 1)
+        for (u, w) in instance.h.edges
+        if chi[u - 1] != chi[w - 1]
+    ]
+    return instance.h.vertex_count, units, cells
+
+
+def _pattern_grid(g: Graph) -> list[tuple[int, int, str]]:
+    return _grid_points(*_pattern_layout(g))
 
 
 def _text_grid(instance: PsiInstance) -> list[tuple[int, int, str]]:
-    """Grid encoding of H laid out by color-class ranks; an H-edge with
-    equally colored endpoints contributes no cell points."""
-    table = ranks(instance)
-    n = instance.h.vertex_count
-    chi = instance.coloring
-    units = [(table.rank[v] + 1, table.reverse_rank[v] + 1) for v in range(n)]
-    cells = sorted(
-        (table.rank[u - 1] + 1, table.rank[w - 1] + 1)
-        for (u, w) in instance.h.edges
-        if chi[u - 1] != chi[w - 1]
-    )
-    return _grid_points(n, units, cells)
+    return _grid_points(*_text_layout(instance))
 
 
 def _point_records(grid: list[tuple[int, int, str]]) -> list[dict]:
@@ -235,7 +301,8 @@ class PsiGadget:
 
 
 def reduce_psi(instance: PsiInstance) -> PsiGadget:
-    """Build both grids and reduce them to permutations.
+    """Write the pattern and text of both grids from their layouts, in
+    closed form, without building or ranking their points.
 
     The pattern has length 2 + 5k + 2|E_G| and the text length
     2 + 5n + 2*m_bi, where m_bi counts H-edges with differently colored
@@ -246,8 +313,8 @@ def reduce_psi(instance: PsiInstance) -> PsiGadget:
         notes = ("pattern graph has |E| != |V|",)
     return PsiGadget(
         instance=instance,
-        pattern=reduce_coordinates([p[:2] for p in _pattern_grid(instance.g)]),
-        text=reduce_coordinates([p[:2] for p in _text_grid(instance)]),
+        pattern=_grid_permutation(*_pattern_layout(instance.g)),
+        text=_grid_permutation(*_text_layout(instance)),
         notes=notes,
     )
 

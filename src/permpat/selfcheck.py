@@ -17,7 +17,7 @@ from math import comb, isqrt
 from typing import Callable, Iterator
 
 from permpat import backend, gap, matching, psi
-from permpat.core import Permutation, inflate, standardize
+from permpat.core import Permutation, inflate, reduce_coordinates, standardize
 
 QUICK_SAMPLE_SIZE = 500
 QUICK_SAMPLE_SEED = 2749
@@ -165,9 +165,12 @@ def criterion_4(scale: str = "full") -> CriterionResult:
 
 
 def criterion_5(scale: str = "full") -> CriterionResult:
-    """Gadget size formulas hold on every instance of the criterion-4 family:
-    psi.pattern_length and psi.text_length, which require_gadget_within
-    refuses by, give the lengths of the gadget that reduce_psi builds."""
+    """Gadget size formulas and the closed form hold on every instance of
+    the criterion-4 family: psi.pattern_length and psi.text_length, which
+    require_gadget_within refuses by, give the lengths of the gadget that
+    reduce_psi builds, and its pattern and text equal
+    core.reduce_coordinates of the (x, y) pairs of the grids that
+    ``psi build`` dumps."""
     started = time.perf_counter()
     failures: list[str] = []
     instances = psi_instances(scale)
@@ -179,6 +182,13 @@ def criterion_5(scale: str = "full") -> CriterionResult:
                 f"sizes ({len(gadget.pattern)},{len(gadget.text)}) !="
                 f" ({want_pat},{want_txt}) on {inst.to_json_obj()}"
             )
+        for side, got, grid in (
+            ("pattern", gadget.pattern, psi._pattern_grid(inst.g)),
+            ("text", gadget.text, psi._text_grid(inst)),
+        ):
+            ranked = reduce_coordinates([p[:2] for p in grid])
+            if got != ranked:
+                failures.append(f"{side} {got} != ranked grid {ranked} on {inst.to_json_obj()}")
     return _result(5, "gadget-size-formulas", started, failures, f"{len(instances)} instances")
 
 

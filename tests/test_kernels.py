@@ -99,6 +99,16 @@ class TestCountPattern:
         with pytest.raises(ValueError, match=rf"limit 0 \(count\) or 1 \(detect\), not {limit}"):
             kernel.count_pattern((1, 2), tuple(range(1, 7)), False, limit)
 
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    @pytest.mark.parametrize("pattern", [(0, 0, 7), (1, 3), (0, 1), (2, 2), (3, 1, 3), (2**70, 1)])
+    def test_refuses_a_pattern_outside_one_to_k(self, kernel, pattern, n):
+        # with one message on both backends, also where the pattern is
+        # longer than the text and no search runs
+        message = rf"^count_pattern needs a pattern of distinct values in 1\.\.{len(pattern)}$"
+        for pin, limit in itertools.product((False, True), (0, 1)):
+            with pytest.raises(ValueError, match=message):
+                kernel.count_pattern(pattern, tuple(range(1, n + 1)), pin, limit)
+
     def test_pin_first(self, kernel):
         assert kernel.count_pattern((2, 1, 3), (2, 4, 1, 5, 3), True) == 2
         assert kernel.count_pattern((1, 2), (2, 1), True) == 0

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permpat import psi, selfcheck
@@ -46,6 +46,26 @@ def instances(draw, max_k=3, max_n=5):
     h_edges = [p for p in h_pairs if draw(st.booleans())]
     chi = [draw(st.integers(min_value=1, max_value=k)) for _ in range(n)]
     return psi.PsiInstance(psi.Graph(k, g_edges), psi.Graph(n, h_edges), chi)
+
+
+@st.composite
+def grid_instances(draw, max_k=7, max_n=12):
+    """Instances with k <= 7 and n <= 12, Graph(0) on both sides included,
+    each graph empty, complete or random, and colorings that may leave
+    classes empty."""
+    k = draw(st.integers(min_value=0, max_value=max_k))
+    n = draw(st.integers(min_value=0, max_value=max_n)) if k else 0
+
+    def edges(count):
+        pairs = list(itertools.combinations(range(1, count + 1), 2))
+        density = draw(st.sampled_from(["empty", "complete", "random"]))
+        if density == "random":
+            return [p for p in pairs if draw(st.booleans())]
+        return pairs if density == "complete" else []
+
+    colors = draw(st.lists(st.integers(1, k), min_size=1, unique=True)) if k else []
+    chi = [draw(st.sampled_from(colors)) for _ in range(n)]
+    return psi.PsiInstance(psi.Graph(k, edges(k)), psi.Graph(n, edges(n)), chi)
 
 
 class TestGraph:
@@ -218,6 +238,17 @@ class TestReducePsi:
         assert len(gadget.pattern) == 2 + 5 * 3 + 2 * 2
         m_bi = inst.bichromatic_edge_count()
         assert len(gadget.text) == 2 + 5 * 4 + 2 * m_bi
+        assert gadget.pattern == reduce_coordinates([p[:2] for p in psi._pattern_grid(inst.g)])
+        assert gadget.text == reduce_coordinates([p[:2] for p in psi._text_grid(inst)])
+
+    @given(grid_instances())
+    @example(psi.PsiInstance(psi.Graph(0), psi.Graph(0), ()))
+    @example(psi.PsiInstance(psi.Graph(3, [(1, 2), (1, 3), (2, 3)]), psi.Graph(0), ()))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_equals_the_ranked_grid(self, inst):
+        # reduce_psi writes both permutations without ranking points; the
+        # grids that psi build dumps, ranked, are its oracle
+        gadget = psi.reduce_psi(inst)
         assert gadget.pattern == reduce_coordinates([p[:2] for p in psi._pattern_grid(inst.g)])
         assert gadget.text == reduce_coordinates([p[:2] for p in psi._text_grid(inst)])
 

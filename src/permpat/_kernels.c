@@ -8,15 +8,18 @@
  * instead when it has none: -1 when a malloc failed, -2 for an input outside
  * its contract, and -3 when the result could pass 2^63 - 1.
  *
- * Counts are long long.  A search without the prefix-count table adds 1 per
- * copy, so a count past 2^63 - 1 would take 2^63 steps first: it cannot
- * overflow in practice.  A search with the table, which serves only texts of
- * n <= 2048, adds at each leaf the placements of its free elements: at most
- * n for one; for two, a product of two rectangle sizes that sum to at most
- * n, so at most floor(n / 2)^2 <= 2^20, or C(m, 2) < 2^21 when both share
- * one rectangle of m <= n elements.  A count could thus wrap only after
- * more than 2^63 / 2^21 = 2^42 > 4 * 10^12 leaves, and count_pattern
- * returns -3 rather than let it: its table searches stop at
+ * Counts are long long.  A 3-pattern count takes one pass of
+ * count_triples, whose every partial sum counts the copies of one or two
+ * 3-patterns, so it stays at most C(n, 3); count_pattern returns -3 for
+ * n > TRIPLE_MAX_N, where C(n, 3) could pass 2^63 - 1.  A search without
+ * the prefix-count table adds 1 per copy, so a count past 2^63 - 1 would
+ * take 2^63 steps first: it cannot overflow in practice.  A search with the
+ * table, which serves only texts of n <= 2048, adds at each leaf the
+ * placements of its two free elements: a product of two rectangle sizes
+ * that sum to at most n, so at most floor(n / 2)^2 <= 2^20, or C(m, 2) <
+ * 2^21 when both share one rectangle of m <= n elements.  A count could
+ * thus wrap only after more than 2^63 / 2^21 = 2^42 > 4 * 10^12 leaves, and
+ * count_pattern returns -3 rather than let it: its table searches stop at
  * TABLE_COUNT_LIMIT.  Below that limit every total is exact, also the sum
  * #pat + #pat' that a swap pair counts (at most C(n, k)) and the
  * difference taken from it.  The inversions of a permutation of 1..n number
@@ -38,6 +41,10 @@
 /* A table search returns -3 once its total reaches this: a leaf adds at
  * most C(TABLE_MAX_N, 2) < 2^21, so the total cannot wrap first. */
 #define TABLE_COUNT_LIMIT (LLONG_MAX - (1LL << 21) + 1)
+
+/* The largest n with C(n, 3) <= 2^63 - 1: count_triples refuses longer
+ * texts. */
+#define TRIPLE_MAX_N 3810779L
 
 /* Table of below[s * (n + 2) + v] = #{p >= s : txt[p] < v}, for 0 <= s <= n
  * and 0 <= v <= n + 1, filled right to left; NULL when malloc fails. */
@@ -71,9 +78,8 @@ static unsigned short *below_table(const long *txt, long n)
  * free, and each match is a leaf that adds their placements: free element f
  * lies in the rectangle of the text whose positions run between those of
  * slots rect[f][0] and rect[f][1], and whose values run between those of
- * slots rect[f][2] and rect[f][3].  A leaf adds the size of the one
- * rectangle, the product of the two sizes, or C(size, 2) when the two
- * elements share one rectangle. */
+ * slots rect[f][2] and rect[f][3].  A leaf adds the product of the two
+ * sizes, or C(size, 2) when the two elements share one rectangle. */
 struct search {
     long m, *pred, *succ;
     int pin, nfree, shared;
@@ -108,11 +114,12 @@ static void order_constraints(const long *p, long m, long *pred, long *succ, lon
     }
 }
 
-/* Plans the search of p[0..k) that frees positions c < d, each -1 when
- * absent; pos[v] is the position of value v in p.  The searched positions'
- * values, re-ranked to 1..m, go to red, and their order constraints to pred
- * and succ.  A free element's rectangle is bounded by its nearest searched
- * neighbours by position and by value, or by LOW and HIGH. */
+/* Plans the search of p[0..k) that frees positions c < d, both -1 when
+ * none is freed; pos[v] is the position of value v in p.  The searched
+ * positions' values, re-ranked to 1..m, go to red, and their order
+ * constraints to pred and succ.  A free element's rectangle is bounded by
+ * its nearest searched neighbours by position and by value, or by LOW and
+ * HIGH. */
 static void plan(struct search *s, const long *p, const long *pos, long k, long c, long d,
                  int pin, long *red, long *pred, long *succ, long *list)
 {
@@ -129,13 +136,12 @@ static void plan(struct search *s, const long *p, const long *pos, long k, long 
     long free_pos[2] = {c, d};
     for (int f = 0; f < s->nfree; f++) {
         long x = free_pos[f], y = free_pos[1 - f];
-        long y_val = y >= 0 ? p[y] : 0;
         long before = x - 1 - (x - 1 == y), after = x + 1 + (x + 1 == y);
-        long below = p[x] - 1 - (p[x] - 1 == y_val), above = p[x] + 1 + (p[x] + 1 == y_val);
+        long below = p[x] - 1 - (p[x] - 1 == p[y]), above = p[x] + 1 + (p[x] + 1 == p[y]);
         long bound[4] = {before, after, below >= 1 ? pos[below] : -1, above <= k ? pos[above] : k};
         for (int b = 0; b < 4; b++) {
             long q = bound[b];
-            s->rect[f][b] = q < 0 ? m : q >= k ? m + 1 : q - (c >= 0 && c < q) - (d >= 0 && d < q);
+            s->rect[f][b] = q < 0 ? m : q >= k ? m + 1 : q - (c < q) - (d < q);
         }
     }
     s->shared = s->nfree == 2 && memcmp(s->rect[0], s->rect[1], sizeof s->rect[0]) == 0;
@@ -199,8 +205,6 @@ static long long leaf(const struct search *s, const unsigned short *below, long 
                       const long *idx, const long *val)
 {
     long long a = rect_size(below, w, idx, val, s->rect[0]);
-    if (s->nfree == 1)
-        return a;
     if (s->shared)
         return a * (a - 1) / 2;
     return a * rect_size(below, w, idx, val, s->rect[1]);
@@ -265,6 +269,107 @@ static long long search(const struct search *s, const long *txt, long n, int det
     return total;
 }
 
+/* Bits set in x, counted in parallel within the word. */
+static int popcount64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (int)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* One step of a pass over a permutation of 1..n: the number of values
+ * below x marked so far, after which x is marked; -1, with nothing read
+ * or marked, when x lies outside 1..n or is marked already.  Value v is
+ * bit (v - 1) % 64 of seen[(v - 1) / 64], and tree is a Fenwick tree
+ * over the nw words that counts the marked bits of each: the values
+ * below x are the tree's prefix before x's word plus the marked bits of
+ * that word below x.  No prefix reaches the last word, so the tree holds
+ * nw - 1 of them, at tree[1..nw). */
+static inline long rank_and_mark(uint64_t *seen, uint32_t *tree, long nw, long n, long x)
+{
+    if (x < 1 || x > n)
+        return -1;
+    long w = (x - 1) >> 6;
+    uint64_t bit = 1ULL << ((x - 1) & 63);
+    if (seen[w] & bit)
+        return -1;
+    long below = popcount64(seen[w] & (bit - 1));
+    for (long p = w; p > 0; p &= p - 1)
+        below += tree[p];
+    seen[w] |= bit;
+    for (long p = w + 1; p < nw; p += p & -p)
+        tree[p]++;
+    return below;
+}
+
+/* Copies of the 3-pattern pat in txt[0..n), a permutation of 1..n, from
+ * one pass of rank_and_mark: the corner trees of depth <= 2 of Even-Zohar
+ * and Leng.  At 0-based position i with value x, Ll earlier values lie
+ * below x, Lg = i - Ll above it, Rl = x - 1 - Ll later ones below it and
+ * Rg = n - 1 - i - Rl above it.  A copy of 123 or 321 is fixed by its
+ * middle element and one choice on each side, and two later values above
+ * x form 123 or 132 with it, so
+ *   #123 = sum Ll Rg,               #321 = sum Lg Rl,
+ *   #132 = sum C(Rg, 2) - #123,     #213 = sum C(Ll, 2) - #123,
+ *   #231 = sum C(Lg, 2) - #321,     #312 = sum C(Rl, 2) - #321.
+ * Pinned, t = txt[0] is the copy's first element, and each later x is its
+ * last, with a middle among the a values above t and the b below it at
+ * positions 1..i - 1.  For x > t that middle is between t and x (123:
+ * Ll - 1 - b), above x (132: Lg) or below t (213: b); for x < t it is
+ * above t (231: a), below x (312: Ll) or between x and t (321:
+ * Lg - 1 - a).  c[2 (pat[0] - 1) + (pat[1] > pat[2])] counts pat, the six
+ * patterns in lexicographic order.  Returns -2 at the first value outside
+ * 1..n or repeated, -1 when malloc fails, and -3 when n > TRIPLE_MAX_N. */
+static long long count_triples(const long *pat, const long *txt, long n, int pin)
+{
+    if (n > TRIPLE_MAX_N)
+        return -3;
+    long nw = (n + 63) / 64;
+    uint64_t *seen = calloc((size_t)nw, sizeof *seen);
+    uint32_t *tree = calloc((size_t)nw, sizeof *tree);
+    long long c[6] = {0}, t = 0, a = 0, b = 0;
+    long i = 0;
+    for (; i < n && seen != NULL && tree != NULL; i++) {
+        long long ll = rank_and_mark(seen, tree, nw, n, txt[i]);
+        if (ll < 0)
+            break;
+        long long x = txt[i], lg = i - ll, rl = x - 1 - ll, rg = n - 1 - i - rl;
+        if (!pin) {
+            c[0] += ll * rg;
+            c[5] += lg * rl;
+            c[1] += rg * (rg - 1) / 2;
+            c[2] += ll * (ll - 1) / 2;
+            c[3] += lg * (lg - 1) / 2;
+            c[4] += rl * (rl - 1) / 2;
+        } else if (i == 0) {
+            t = x;
+        } else if (x > t) {
+            c[0] += ll - 1 - b;
+            c[1] += lg;
+            c[2] += b;
+            a++;
+        } else {
+            c[3] += a;
+            c[4] += ll;
+            c[5] += lg - 1 - a;
+            b++;
+        }
+    }
+    long long status = seen == NULL || tree == NULL ? -1 : i < n ? -2 : 0;
+    free(tree);
+    free(seen);
+    if (status < 0)
+        return status;
+    if (!pin) {
+        c[1] -= c[0];
+        c[2] -= c[0];
+        c[3] -= c[5];
+        c[4] -= c[5];
+    }
+    return c[2 * (pat[0] - 1) + (pat[1] > pat[2])];
+}
+
 /* Order-isomorphic occurrences of pat[0..k) in txt[0..n), values in 1..k and
  * 1..n.  Backtracks over pattern positions left to right; each position's
  * candidates are bounded by the values matched at its order constraints.
@@ -273,19 +378,20 @@ static long long search(const struct search *s, const long *txt, long n, int det
  * here, so a pattern that is not a permutation of 1..k returns -2 before
  * any is read as an index.
  *
- * A count (not detect) with k >= 3 on a text of n <= TABLE_MAX_N
- * searches all but two free positions c < d, and each leaf adds the
- * placements of both from the prefix-count table.  When pinned, position 0
- * stays searched and the pair is taken from positions 1..k - 1.  An exact
- * pair's leaves count the copies of pat.  Any other pair's leaves count
- * the copies of pat and of pat', pat with the values at c and d exchanged,
- * since the two elements then share their positions' or their values'
- * range; pat' restricted to the searched positions is pat's, and it is
- * counted through an exact pair of its own and subtracted.  Unpinned, only
- * k <= 4 lacks an exact pair (2413 and 3142 of the 4-patterns, and all
- * 3-patterns but 123 and 321).  Pinned at k = 3, no pair of positions 1
- * and 2 serves, and position 2 alone is freed.  The search thus reaches
- * O(n^(k - 2)) leaves unpinned and O(n^(k - 3)) pinned (O(n) at k = 3). */
+ * A count (not detect) of a 3-pattern, pinned or not, is count_triples'
+ * one pass; that pass reads text values as indices, so a text that is not
+ * a permutation of 1..n returns -2 there.  A count with k >= 4 on a text
+ * of n <= TABLE_MAX_N searches all but two free positions c < d, and each
+ * leaf adds the placements of both from the prefix-count table.  When
+ * pinned, position 0 stays searched and the pair is taken from positions
+ * 1..k - 1.  An exact pair's leaves count the copies of pat.  Any other
+ * pair's leaves count the copies of pat and of pat', pat with the values
+ * at c and d exchanged, since the two elements then share their positions'
+ * or their values' range; pat' restricted to the searched positions is
+ * pat's, and it is counted through an exact pair of its own and
+ * subtracted.  Of the patterns with k >= 4, only 2413 and 3142 lack an
+ * exact pair.  The search thus reaches O(n^(k - 2)) leaves unpinned and
+ * O(n^(k - 3)) pinned. */
 long long count_pattern(const long *pat, long k, const long *txt, long n,
                         int pin_first, int detect)
 {
@@ -305,17 +411,18 @@ long long count_pattern(const long *pat, long k, const long *txt, long n,
         }
         pos[pat[x]] = x;
     }
+    if (k == 3 && !detect) {
+        free(work);
+        return count_triples(pat, txt, n, pin_first);
+    }
     memcpy(p, pat, (size_t)k * sizeof *p);
 
     struct search s[2];
     long c = -1, d = -1, c2 = -1, d2 = -1, from = pin_first != 0;
     int searches = 1;
-    if (!detect && k >= 3 && n <= TABLE_MAX_N && !exact_pair(p, k, from, &c, &d)) {
-        if (swap_pair(p, k, from, &c, &d, &c2, &d2))
-            searches = 2;
-        else if (pin_first)
-            c = k - 1;
-    }
+    if (!detect && k >= 4 && n <= TABLE_MAX_N && !exact_pair(p, k, from, &c, &d)
+        && swap_pair(p, k, from, &c, &d, &c2, &d2))
+        searches = 2;
     plan(&s[0], p, pos, k, c, d, pin_first != 0, red, cons, cons + k, list);
     if (searches == 2) {
         long t = p[c];
@@ -337,25 +444,12 @@ long long count_pattern(const long *pat, long k, const long *txt, long n,
     return total;
 }
 
-/* Bits set in x, counted in parallel within the word. */
-static int popcount64(uint64_t x)
-{
-    x -= (x >> 1) & 0x5555555555555555ULL;
-    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-    return (int)((x * 0x0101010101010101ULL) >> 56);
-}
-
 /* Number of pairs i < j with a[i] > a[j], for a permutation a[0..n) of
- * 1..n, by one pass that marks value v as bit (v - 1) % 64 of
- * seen[(v - 1) / 64] and counts the marked bits of each word in tree, a
- * Fenwick tree over the words: n / 8 + n / 16 bytes, about 190 KB at
- * n = 10^6.  The values below v are the tree's prefix before v's word plus
- * the marked bits of that word below v; position i adds the i earlier
- * values minus those.  No prefix reaches the last of the nw words, so the
- * tree holds nw - 1.  Returns -2 at the first value outside 1..n or
- * repeated, before it is marked, -3 when n > UINT32_MAX (a count could
- * wrap), and -1 when malloc fails. */
+ * 1..n, by one pass of rank_and_mark, whose bitset and tree take n / 8 +
+ * n / 16 bytes, about 190 KB at n = 10^6: position i adds the i earlier
+ * values less those below a[i].  Returns -2 at the first value outside
+ * 1..n or repeated, before it is marked, -3 when n > UINT32_MAX (a count
+ * could wrap), and -1 when malloc fails. */
 long long count_inversions(const long *a, long n)
 {
     if (n < 1)
@@ -367,20 +461,8 @@ long long count_inversions(const long *a, long n)
     uint32_t *tree = calloc((size_t)nw, sizeof *tree);
     long long inv = seen != NULL && tree != NULL ? 0 : -1;
     for (long i = 0; i < n && inv >= 0; i++) {
-        long x = a[i];
-        if (x < 1 || x > n || (seen[(x - 1) >> 6] >> ((x - 1) & 63) & 1)) {
-            inv = -2;
-            break;
-        }
-        long w = (x - 1) >> 6;
-        uint64_t bit = 1ULL << ((x - 1) & 63);
-        long long below = popcount64(seen[w] & (bit - 1));
-        for (long p = w; p > 0; p &= p - 1)
-            below += tree[p];
-        inv += i - below;
-        seen[w] |= bit;
-        for (long p = w + 1; p < nw; p += p & -p)
-            tree[p]++;
+        long below = rank_and_mark(seen, tree, nw, n, a[i]);
+        inv = below < 0 ? -2 : inv + i - below;
     }
     free(tree);
     free(seen);

@@ -129,13 +129,17 @@ def count_pattern(
     """Count order-isomorphic occurrences of pattern in text.
 
     Backtracks over pattern positions left to right, pruning candidate text
-    elements by the value interval implied by the partial match.  With
-    ``pin_first`` the first pattern element must use the first text element.
-    ``limit`` 0 counts, 1 detects (the result is then 0 or 1), and any other
-    value raises ValueError.  The C search indexes arrays by pattern values,
-    so a pattern that is not a permutation of 1..k raises ValueError, as
-    does a count that could pass 2^63 - 1; a pattern longer than the text,
-    which the C search never sees, is checked here first.
+    elements by the value interval implied by the partial match; a count
+    of a 3-pattern is instead one pass over a Fenwick tree of the text's
+    values, O(n log n), pinned or not.  With ``pin_first`` the first
+    pattern element must use the first text element.  ``limit`` 0 counts,
+    1 detects (the result is then 0 or 1), and any other value raises
+    ValueError.  The C search indexes arrays by pattern values, so a
+    pattern that is not a permutation of 1..k raises ValueError; so does a
+    text that is not a permutation of 1..n in a 3-pattern count, whose pass
+    indexes by text values, and a count that could pass 2^63 - 1 (a
+    3-pattern count on a text longer than 3,810,779).  A pattern longer
+    than the text, which the C search never sees, is checked here first.
     """
     if limit != 0 and limit != 1:
         raise ValueError(f"count_pattern takes limit 0 (count) or 1 (detect), not {limit}")
@@ -154,7 +158,12 @@ def count_pattern(
     txt = _packed(text)
     total = _lib.count_pattern(pat.buffer_info()[0], k, txt.buffer_info()[0], n, bool(pin_first), limit)
     if total < 0:
-        _fail(total, "count_pattern", _kernels_py._pattern_refusal(k))
+        # a -2 refuses the pattern when it is no permutation, else the text
+        if _kernels_py.is_permutation(pattern):
+            refusal = f"count_pattern needs a text of distinct values in 1..{n}"
+        else:
+            refusal = _kernels_py._pattern_refusal(k)
+        _fail(total, "count_pattern", refusal)
     return total
 
 

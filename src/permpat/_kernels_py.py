@@ -54,7 +54,9 @@ def count_pattern(
     """Count order-isomorphic occurrences of pattern in text.
 
     Backtracks over pattern positions left to right, pruning candidate text
-    elements by the value interval implied by the partial match.  With
+    elements by the value interval implied by the partial match; every
+    pattern length takes this scan, so for k = 3 it is an oracle
+    independent of the compiled kernel's one-pass count.  With
     ``pin_first`` the first pattern element must use the first text element.
     ``limit`` 0 counts, 1 detects (the result is then 0 or 1), and any other
     value raises ValueError, as does a pattern that is not a permutation of

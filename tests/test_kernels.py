@@ -301,8 +301,10 @@ class _CodeLib:
     (-3, ValueError, r"result could pass 2\^63 - 1"),
 ])
 def test_compiled_result_codes_map_to_one_error_each(monkeypatch, code, error, message):
-    # no input reaches -3 within a test's budget: a count needs 2^42
-    # leaves, inversions more than 2^32 values
+    # a stand-in library returns each code: past a 3-pattern count on a
+    # text of 3,810,780 (TestTriplePass), no input reaches -3 within a
+    # test's budget, as a search count needs 2^42 leaves and inversions
+    # more than 2^32 values
     monkeypatch.setattr(_kernels, "_lib", _CodeLib(code))
     calls = [
         lambda: _kernels.count_pattern((1, 2, 3), (1, 2, 3)),
@@ -475,8 +477,8 @@ class TestBackendsAgree:
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         # most examples are full counts with k >= 3, which the compiled
-        # kernel answers by products of rectangle sizes read from its
-        # prefix-count table
+        # kernel answers by one pass over a Fenwick tree (k = 3) or by
+        # products of rectangle sizes read from its prefix-count table
         pat=st.one_of(st.integers(3, 6), st.integers(1, 6)).flatmap(
             lambda k: st.permutations(range(1, k + 1))
         ),
@@ -493,11 +495,11 @@ class TestBackendsAgree:
 
     def test_full_counts_agree_exhaustively(self):
         # every pattern of length 2-6, pinned or not, without a limit: the
-        # compiled kernel's pair products (an exact pair, a swap pair less
-        # its partner's count, or pinned at k = 3 one free position),
-        # against the pure scan, on the identity, its reverse and seeded
-        # random texts; 6-patterns only on texts of n <= 12, where the pure
-        # scan stays fast
+        # compiled kernel's one pass (k = 3) and pair products (an exact
+        # pair, or a swap pair less its partner's count), against the pure
+        # scan, on the identity, its reverse and seeded random texts;
+        # 6-patterns only on texts of n <= 12, where the pure scan stays
+        # fast
         rng = random.Random(40)
         texts = []
         for n in (2, 5, 9, 16, 25):
@@ -540,9 +542,9 @@ class TestBackendsAgree:
 
     @pytest.mark.parametrize("n", [2047, 2048, 2049])
     def test_layered_counts_on_both_sides_of_the_table_cap(self, n):
-        # decreasing runs of sizes 1-3, increasing across runs: the table
-        # serves n <= 2048, the scan n = 2049, and both must give the closed
-        # forms
+        # decreasing runs of sizes 1-3, increasing across runs: 3-patterns
+        # take the one pass at every n; for pinned 2143 the table serves
+        # n <= 2048, the scan n = 2049, and both must give the closed forms
         rng = random.Random(n)
         sizes = []
         while sum(sizes) < n:
@@ -620,6 +622,86 @@ class TestBackendsAgree:
         mid = len(source) // 2
         changed = source[:mid] + bytes([source[mid] ^ 1]) + source[mid + 1:]
         assert _kernels._library_path(changed) != _kernels._library_path(source)
+
+
+TRIPLES = list(itertools.permutations((1, 2, 3)))
+# the largest n with C(n, 3) <= 2^63 - 1
+TRIPLE_MAX_N = 3_810_779
+
+
+@pytest.mark.skipif(len(KERNELS) < 2, reason="compiled kernels not built")
+class TestTriplePass:
+    """The compiled kernel counts each 3-pattern, pinned or not, in one pass
+    over a Fenwick tree of 64-bit words; the pure kernel's scan, which every
+    k takes, is its oracle."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_agrees_with_the_scan_across_word_edges(self, n):
+        # the values seen fill 64-bit words, so a new word starts past
+        # n = 64 and 128, and the tree's walks change length there
+        rng = random.Random(n)
+        r = rng.randint(1, n - 1)
+        texts = [rng.sample(range(1, n + 1), n), rng.sample(range(1, n + 1), n),
+                 [*range(r + 1, n + 1), *range(1, r + 1)]]
+        for txt in texts:
+            for pat in TRIPLES:
+                for pin in (False, True):
+                    expected = _kernels_py.count_pattern(pat, txt, pin)
+                    assert _kernels.count_pattern(pat, txt, pin) == expected, (pat, pin, txt)
+
+    @pytest.mark.parametrize("n", [2047, 2048, 2049, 10**4])
+    def test_closed_forms_in_the_identity_and_its_reverse(self, n):
+        # the n = 2049 count of a 3-pattern used to take the cubic scan
+        identity = array("l", range(1, n + 1))
+        reverse = identity[::-1]
+        for pat in TRIPLES:
+            full = comb(n, 3) if pat == (1, 2, 3) else 0
+            pinned = comb(n - 1, 2) if pat == (1, 2, 3) else 0
+            assert _kernels.count_pattern(pat, identity) == full, pat
+            assert _kernels.count_pattern(pat, identity, True) == pinned, pat
+            assert _kernels.count_pattern(pat[::-1], reverse) == full, pat
+            assert _kernels.count_pattern(pat[::-1], reverse, True) == pinned, pat
+
+    def test_counts_of_a_long_text_sum_to_the_triples(self):
+        # every 3 text positions hold a copy of exactly one 3-pattern, and
+        # every 2 after the first of exactly one pinned one
+        n = 10**5
+        values = list(range(1, n + 1))
+        random.Random(11).shuffle(values)
+        txt = array("l", values)
+        counts = [_kernels.count_pattern(pat, txt) for pat in TRIPLES]
+        pinned = [_kernels.count_pattern(pat, txt, True) for pat in TRIPLES]
+        assert min(counts) > 0 and min(pinned) > 0
+        assert sum(counts) == comb(n, 3)
+        assert sum(pinned) == comb(n - 1, 2)
+
+    @pytest.mark.parametrize("text", [
+        (0, 1, 2), (1, 2, 4), (1, 2, 2), (3, 1, 3), (2, 3, 1, 5),
+        (*range(1, 130), 65), (*range(1, 65), 0, *range(66, 131)),
+        # values that would index far outside the bitset if read as indices
+        (1, -(2**62), 2), (2**62, 1, 2), (1, 2, 3, -1), (1, 2, 3, 2**40),
+    ])
+    def test_refuses_a_text_outside_one_to_n(self, text):
+        # the pass indexes its bitset by text values, so it checks each
+        # one's range and repeats before reading with it
+        message = rf"^count_pattern needs a text of distinct values in 1\.\.{len(text)}$"
+        for pat in TRIPLES:
+            for pin in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    _kernels.count_pattern(pat, array("l", text), pin)
+
+    def test_refuses_a_text_whose_count_could_pass_2_63(self):
+        # C(n, 3) <= 2^63 - 1 exactly up to TRIPLE_MAX_N; the identity there
+        # holds that many copies of 123, and one element more is refused
+        # before any value is read
+        assert comb(TRIPLE_MAX_N, 3) <= 2**63 - 1 < comb(TRIPLE_MAX_N + 1, 3)
+        identity = array("l", range(1, TRIPLE_MAX_N + 1))
+        assert _kernels.count_pattern((1, 2, 3), identity) == comb(TRIPLE_MAX_N, 3)
+        del identity
+        zeros = array("l", bytes(8 * (TRIPLE_MAX_N + 1)))
+        for pin in (False, True):
+            with pytest.raises(ValueError, match=r"result could pass 2\^63 - 1"):
+                _kernels.count_pattern((3, 1, 2), zeros, pin)
 
 
 PROBE = """
